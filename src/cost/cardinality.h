@@ -2,7 +2,7 @@
 #define DIMSUM_COST_CARDINALITY_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "cost/params.h"
@@ -18,8 +18,22 @@ struct StreamStats {
   int64_t pages = 0;
 };
 
-/// Per-node output statistics keyed by node pointer.
-using PlanStats = std::unordered_map<const PlanNode*, StreamStats>;
+/// Output statistics of every node of one plan, stored flat in pre-order
+/// (entry 0 is the root).
+class PlanStats {
+ public:
+  /// Statistics of `node`, which must be a node of the plan these stats
+  /// were computed for.
+  const StreamStats& at(const PlanNode* node) const;
+
+ private:
+  friend PlanStats ComputeStats(const Plan& plan, const Catalog& catalog,
+                                const QueryGraph& query,
+                                const CostParams& params);
+
+  std::vector<const PlanNode*> nodes_;  // pre-order
+  std::vector<StreamStats> stats_;      // stats_[i] belongs to nodes_[i]
+};
 
 /// Derives output cardinalities bottom-up:
 ///  - scan: the relation's tuples;
@@ -35,6 +49,14 @@ using PlanStats = std::unordered_map<const PlanNode*, StreamStats>;
 /// projects all temporaries back to 100 bytes).
 PlanStats ComputeStats(const Plan& plan, const Catalog& catalog,
                        const QueryGraph& query, const CostParams& params);
+
+/// The same rules over the subtree rooted at `root`, without the node
+/// index: overwrites `*out` with one entry per node, in pre-order. The
+/// vector's capacity is reused, so the optimizer's coster runs this on
+/// every plan it prices without allocating.
+void ComputeStreamStats(const PlanNode& root, const Catalog& catalog,
+                        const QueryGraph& query, const CostParams& params,
+                        std::vector<StreamStats>* out);
 
 }  // namespace dimsum
 

@@ -1,17 +1,20 @@
 #include "cost/comm_cost.h"
 
+#include <vector>
+
 #include "common/check.h"
-#include "plan/binding.h"
 
 namespace dimsum {
 namespace {
 
-void Visit(const PlanNode& node, const PlanNode* parent,
-           const Catalog& catalog, const CostParams& params,
-           const PlanStats& stats, CommCost* cost) {
+/// Adds the traffic of the subtree rooted at `node`, whose pre-order index
+/// is `index`; returns the index one past the subtree.
+int Visit(const PlanNode& node, const PlanNode* parent, int index,
+          const Catalog& catalog, const CostParams& params,
+          const std::vector<StreamStats>& stats, CommCost* cost) {
   DIMSUM_CHECK_NE(node.bound_site, kUnboundSite);
   if (parent != nullptr && parent->bound_site != node.bound_site) {
-    const StreamStats& out = stats.at(&node);
+    const StreamStats& out = stats[static_cast<std::size_t>(index)];
     cost->pages += out.pages;
     cost->bytes += out.pages * params.page_bytes;
     cost->messages += out.pages;
@@ -30,18 +33,27 @@ void Visit(const PlanNode& node, const PlanNode* parent,
     cost->bytes += faulted * (params.page_bytes + params.fault_request_bytes);
     cost->messages += 2 * faulted;
   }
-  if (node.left) Visit(*node.left, &node, catalog, params, stats, cost);
-  if (node.right) Visit(*node.right, &node, catalog, params, stats, cost);
+  int next = index + 1;
+  if (node.left) {
+    next = Visit(*node.left, &node, next, catalog, params, stats, cost);
+  }
+  if (node.right) {
+    next = Visit(*node.right, &node, next, catalog, params, stats, cost);
+  }
+  return next;
 }
 
 }  // namespace
 
 CommCost ComputeCommCost(const Plan& plan, const Catalog& catalog,
                          const QueryGraph& query, const CostParams& params) {
-  DIMSUM_CHECK(IsFullyBound(plan));
-  const PlanStats stats = ComputeStats(plan, catalog, query, params);
+  DIMSUM_CHECK(!plan.empty());
+  // Reused per thread: the pages-sent metric prices every plan the
+  // optimizer visits.
+  thread_local std::vector<StreamStats> stats;
+  ComputeStreamStats(*plan.root(), catalog, query, params, &stats);
   CommCost cost;
-  Visit(*plan.root(), nullptr, catalog, params, stats, &cost);
+  Visit(*plan.root(), nullptr, 0, catalog, params, stats, &cost);
   return cost;
 }
 

@@ -30,11 +30,9 @@ double CostModel::CostBound(Plan& plan, const QueryGraph& query,
       return static_cast<double>(
           ComputeCommCost(plan, catalog_, query, params_).pages);
     case OptimizeMetric::kResponseTime:
-      return EstimateTime(plan, catalog_, query, params_, server_disk_load_)
-          .response_ms;
+      return EstimateTime(plan, catalog_, query, params_, sites_).response_ms;
     case OptimizeMetric::kTotalCost:
-      return EstimateTime(plan, catalog_, query, params_, server_disk_load_)
-          .total_ms;
+      return EstimateTime(plan, catalog_, query, params_, sites_).total_ms;
   }
   DIMSUM_UNREACHABLE();
 }

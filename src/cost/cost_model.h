@@ -31,14 +31,17 @@ inline std::string_view ToString(OptimizeMetric metric) {
 }
 
 /// Facade evaluating plans under a (possibly assumed) catalog and system
-/// state. Binds the plan's logical annotations before evaluating.
+/// state. Binds the plan's logical annotations before evaluating. The
+/// per-site CPU and load factors are resolved once, here, for every plan
+/// the model prices.
 class CostModel {
  public:
   CostModel(const Catalog& catalog, const CostParams& params,
             std::map<SiteId, double> server_disk_load = {})
       : catalog_(catalog),
         params_(params),
-        server_disk_load_(std::move(server_disk_load)) {}
+        server_disk_load_(std::move(server_disk_load)),
+        sites_(params_, server_disk_load_) {}
 
   /// Cost of `plan` for `query` under `metric`. Binds sites in place.
   /// Plans with logical scans of sharded relations are costed through
@@ -60,6 +63,7 @@ class CostModel {
   const Catalog& catalog_;
   CostParams params_;
   std::map<SiteId, double> server_disk_load_;
+  SiteFactors sites_;
 };
 
 }  // namespace dimsum

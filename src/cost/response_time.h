@@ -2,6 +2,7 @@
 #define DIMSUM_COST_RESPONSE_TIME_H_
 
 #include <map>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "cost/explain.h"
@@ -21,6 +22,33 @@ struct TimeEstimate {
   /// Total cost (ms of resource usage summed over all resources), in the
   /// spirit of Mackert & Lohman's total-cost models.
   double total_ms = 0.0;
+};
+
+/// Per-site constants of the model, resolved once from the parameters and
+/// the external disk load: each site's CPU-time factor
+/// (CostParams::CpuTimeFactor) and its disk-demand inflation
+/// 1 / (1 - utilization). Sites with neither a speed override nor a load
+/// share the default factors. Check-fails on a utilization of 1 or more.
+class SiteFactors {
+ public:
+  SiteFactors(const CostParams& params,
+              const std::map<SiteId, double>& server_disk_load);
+
+  double Cpu(SiteId site) const {
+    return static_cast<std::size_t>(site) < cpu_.size()
+               ? cpu_[static_cast<std::size_t>(site)]
+               : default_cpu_;
+  }
+  double Load(SiteId site) const {
+    return static_cast<std::size_t>(site) < load_.size()
+               ? load_[static_cast<std::size_t>(site)]
+               : 1.0;
+  }
+
+ private:
+  double default_cpu_;
+  std::vector<double> cpu_;   // by site, up to the last speed override
+  std::vector<double> load_;  // by site, up to the last loaded site
 };
 
 /// Estimates response time and total cost of `plan` (must be bound).
@@ -48,6 +76,15 @@ struct TimeEstimate {
 TimeEstimate EstimateTime(const Plan& plan, const Catalog& catalog,
                           const QueryGraph& query, const CostParams& params,
                           const std::map<SiteId, double>& server_disk_load = {},
+                          PlanEstimate* explain = nullptr);
+
+/// The same estimate with the per-site factors already resolved; the
+/// optimizer's cost model resolves them once and prices every plan here.
+/// Reuses per-thread buffers, so an estimate without `explain` allocates
+/// nothing once the thread has costed a plan of the same size.
+TimeEstimate EstimateTime(const Plan& plan, const Catalog& catalog,
+                          const QueryGraph& query, const CostParams& params,
+                          const SiteFactors& sites,
                           PlanEstimate* explain = nullptr);
 
 }  // namespace dimsum

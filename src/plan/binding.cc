@@ -9,65 +9,50 @@
 namespace dimsum {
 namespace {
 
-/// One resolution pass; returns the number of nodes newly bound.
-/// `parent_site` is the (possibly still unbound) site of the parent.
-int ResolvePass(PlanNode& node, SiteId parent_site, const Catalog& catalog,
-                SiteId client) {
-  int bound = 0;
-  if (node.bound_site == kUnboundSite) {
-    if (node.type == OpType::kDisplay) {
+/// Binds every node whose site follows from its own subtree -- the
+/// display, scans, and operators annotated to run where one of their
+/// inputs runs -- and marks consumer-annotated operators unbound.
+/// Post-order, so inputs are bound first: in a well-formed plan an
+/// operator never points at a consumer-annotated input (that would be a
+/// two-node cycle), so the input it follows is always bound by then.
+void BindFromBelow(PlanNode& node, const Catalog& catalog, SiteId client) {
+  if (node.left) BindFromBelow(*node.left, catalog, client);
+  if (node.right) BindFromBelow(*node.right, catalog, client);
+  if (node.type == OpType::kDisplay) {
+    node.bound_site = client;
+  } else if (node.type == OpType::kScan) {
+    if (node.annotation == SiteAnnotation::kClient) {
       node.bound_site = client;
-      ++bound;
-    } else if (node.type == OpType::kScan) {
-      if (node.annotation == SiteAnnotation::kClient) {
-        node.bound_site = client;
-      } else if (catalog.sharded(node.relation)) {
-        // Shard fragments bind to their shard's serving copy. A logical
-        // (shard < 0) scan binds to shard 0's site as a representative so
-        // the optimizer can bind-and-cost unexpanded plans; ExpandShards
-        // assigns the real per-shard sites before execution.
-        node.bound_site = catalog.ShardSite(
-            node.relation, node.shard >= 0 ? node.shard : 0, node.replica);
-      } else {
-        node.bound_site = catalog.ReplicaSite(node.relation, node.replica);
-      }
-      ++bound;
-    } else if (IsUnaryOp(node.type)) {
-      if (node.annotation == SiteAnnotation::kConsumer) {
-        if (parent_site != kUnboundSite) {
-          node.bound_site = parent_site;
-          ++bound;
-        }
-      } else {  // producer
-        if (node.left->bound_site != kUnboundSite) {
-          node.bound_site = node.left->bound_site;
-          ++bound;
-        }
-      }
-    } else {  // binary operators (join, union)
-      if (node.annotation == SiteAnnotation::kConsumer) {
-        if (parent_site != kUnboundSite) {
-          node.bound_site = parent_site;
-          ++bound;
-        }
-      } else if (node.annotation == SiteAnnotation::kInnerRel) {
-        if (node.left->bound_site != kUnboundSite) {
-          node.bound_site = node.left->bound_site;
-          ++bound;
-        }
-      } else {  // outer relation
-        if (node.right->bound_site != kUnboundSite) {
-          node.bound_site = node.right->bound_site;
-          ++bound;
-        }
-      }
+    } else if (catalog.sharded(node.relation)) {
+      // Shard fragments bind to their shard's serving copy. A logical
+      // (shard < 0) scan binds to shard 0's site as a representative so
+      // the optimizer can bind-and-cost unexpanded plans; ExpandShards
+      // assigns the real per-shard sites before execution.
+      node.bound_site = catalog.ShardSite(
+          node.relation, node.shard >= 0 ? node.shard : 0, node.replica);
+    } else {
+      node.bound_site = catalog.ReplicaSite(node.relation, node.replica);
     }
+  } else if (node.annotation == SiteAnnotation::kConsumer) {
+    node.bound_site = kUnboundSite;  // bound from above
+  } else if (IsUnaryOp(node.type)) {  // producer
+    node.bound_site = node.left->bound_site;
+  } else if (node.annotation == SiteAnnotation::kInnerRel) {
+    node.bound_site = node.left->bound_site;
+  } else {  // outer relation
+    node.bound_site = node.right->bound_site;
   }
-  if (node.left) bound += ResolvePass(*node.left, node.bound_site, catalog, client);
-  if (node.right) {
-    bound += ResolvePass(*node.right, node.bound_site, catalog, client);
-  }
-  return bound;
+}
+
+/// Binds consumer-annotated operators to their parent's site. Pre-order,
+/// so a chain of consumers resolves top-down from its first bound
+/// ancestor.
+void BindFromAbove(PlanNode& node, SiteId parent_site) {
+  if (node.bound_site == kUnboundSite) node.bound_site = parent_site;
+  DIMSUM_CHECK_NE(node.bound_site, kUnboundSite)
+      << "binding did not reach a fixpoint";
+  if (node.left) BindFromAbove(*node.left, node.bound_site);
+  if (node.right) BindFromAbove(*node.right, node.bound_site);
 }
 
 }  // namespace
@@ -78,14 +63,12 @@ void BindSites(Plan& plan, const Catalog& catalog, SiteId client) {
   DIMSUM_CHECK(catalog.IsClientSite(client))
       << "home client " << client << " is not a client site (catalog has "
       << catalog.num_clients() << " clients)";
-  ClearBinding(plan);
-  // Each pass binds at least one node of any unresolved chain (the chains
-  // are acyclic by well-formedness), so at most Size() passes are needed.
-  const int size = plan.Size();
-  for (int pass = 0; pass < size; ++pass) {
-    if (ResolvePass(*plan.root(), kUnboundSite, catalog, client) == 0) break;
-  }
-  DIMSUM_CHECK(IsFullyBound(plan)) << "binding did not reach a fixpoint";
+  // Site dependencies point from an operator to an input (inner/outer
+  // relation, producer) or to its parent (consumer); well-formedness rules
+  // out the only cycles a tree allows, so one pass in each direction
+  // reaches the fixpoint.
+  BindFromBelow(*plan.root(), catalog, client);
+  BindFromAbove(*plan.root(), kUnboundSite);
 }
 
 bool IsFullyBound(const Plan& plan) {

@@ -5,22 +5,6 @@
 namespace dimsum {
 namespace {
 
-void ForEachImpl(const PlanNode* node,
-                 const std::function<void(const PlanNode&)>& fn) {
-  if (node == nullptr) return;
-  fn(*node);
-  ForEachImpl(node->left.get(), fn);
-  ForEachImpl(node->right.get(), fn);
-}
-
-void ForEachMutableImpl(PlanNode* node,
-                        const std::function<void(PlanNode&)>& fn) {
-  if (node == nullptr) return;
-  fn(*node);
-  ForEachMutableImpl(node->left.get(), fn);
-  ForEachMutableImpl(node->right.get(), fn);
-}
-
 void CollectRelations(const PlanNode& node, std::vector<RelationId>* out) {
   if (node.type == OpType::kScan) out->push_back(node.relation);
   if (node.left) CollectRelations(*node.left, out);
@@ -45,14 +29,6 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   if (left) copy->left = left->Clone();
   if (right) copy->right = right->Clone();
   return copy;
-}
-
-void Plan::ForEach(const std::function<void(const PlanNode&)>& fn) const {
-  ForEachImpl(root_.get(), fn);
-}
-
-void Plan::ForEachMutable(const std::function<void(PlanNode&)>& fn) {
-  ForEachMutableImpl(root_.get(), fn);
 }
 
 int Plan::Size() const {

@@ -1,7 +1,6 @@
 #ifndef DIMSUM_PLAN_PLAN_H_
 #define DIMSUM_PLAN_PLAN_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,8 +66,14 @@ class Plan {
   Plan Clone() const { return root_ ? Plan(root_->Clone()) : Plan(); }
 
   /// Pre-order traversal.
-  void ForEach(const std::function<void(const PlanNode&)>& fn) const;
-  void ForEachMutable(const std::function<void(PlanNode&)>& fn);
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (root_) Visit(static_cast<const PlanNode&>(*root_), fn);
+  }
+  template <typename Fn>
+  void ForEachMutable(Fn&& fn) {
+    if (root_) Visit(*root_, fn);
+  }
 
   /// Number of nodes.
   int Size() const;
@@ -77,6 +82,13 @@ class Plan {
   static std::vector<RelationId> RelationsBelow(const PlanNode& node);
 
  private:
+  template <typename Node, typename Fn>
+  static void Visit(Node& node, Fn& fn) {
+    fn(node);
+    if (node.left) Visit(static_cast<Node&>(*node.left), fn);
+    if (node.right) Visit(static_cast<Node&>(*node.right), fn);
+  }
+
   std::unique_ptr<PlanNode> root_;
 };
 

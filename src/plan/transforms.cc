@@ -1,5 +1,8 @@
 #include "plan/transforms.h"
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -25,68 +28,76 @@ struct Candidate {
   int32_t replica = 0;        // for kReplica
 };
 
-/// Pre-order enumeration of owning slots (skips the display root, which is
-/// never transformed).
-void CollectSlots(std::unique_ptr<PlanNode>& slot,
-                  std::vector<std::unique_ptr<PlanNode>*>* slots) {
-  if (slot == nullptr) return;
-  slots->push_back(&slot);
-  CollectSlots(slot->left, slots);
-  CollectSlots(slot->right, slots);
-}
-
-std::vector<std::unique_ptr<PlanNode>*> Slots(Plan& plan) {
-  std::vector<std::unique_ptr<PlanNode>*> slots;
-  DIMSUM_CHECK(!plan.empty());
-  // Index 0 is the display's child (the real plan root).
-  CollectSlots(plan.root()->left, &slots);
-  return slots;
-}
-
-std::vector<Candidate> EnumerateCandidates(Plan& plan,
-                                           const TransformConfig& config) {
-  std::vector<Candidate> candidates;
-  auto slots = Slots(plan);
-  for (int i = 0; i < static_cast<int>(slots.size()); ++i) {
-    PlanNode& node = **slots[i];
-    if (node.type == OpType::kJoin && config.join_order_moves) {
-      if (node.left->type == OpType::kJoin) {
-        candidates.push_back({i, MoveKind::kAssocLL, {}});
-        candidates.push_back({i, MoveKind::kAssocLR, {}});
-      }
-      if (node.right->type == OpType::kJoin) {
-        candidates.push_back({i, MoveKind::kAssocRL, {}});
-        candidates.push_back({i, MoveKind::kAssocRR, {}});
-      }
-      if (config.allow_commute) {
-        candidates.push_back({i, MoveKind::kCommute, {}});
-      }
+/// Visits every candidate move of the subtree rooted at `node`, whose
+/// pre-order slot index is `*index` (incremented per node), as
+/// `visit(candidate, node)`. Candidates come in a fixed order -- by slot
+/// in pre-order, then joins' reorderings, annotation changes and replica
+/// changes -- so a draw over them is reproducible.
+template <typename Visit>
+void VisitCandidates(const PlanNode& node, const TransformConfig& config,
+                     int* index, Visit& visit) {
+  const int i = (*index)++;
+  if (node.type == OpType::kJoin && config.join_order_moves) {
+    if (node.left->type == OpType::kJoin) {
+      visit(Candidate{i, MoveKind::kAssocLL, {}}, node);
+      visit(Candidate{i, MoveKind::kAssocLR, {}}, node);
     }
-    for (SiteAnnotation annotation : config.space.AllowedFor(node.type)) {
-      if (annotation != node.annotation) {
-        candidates.push_back({i, MoveKind::kAnnotation, annotation});
-      }
+    if (node.right->type == OpType::kJoin) {
+      visit(Candidate{i, MoveKind::kAssocRL, {}}, node);
+      visit(Candidate{i, MoveKind::kAssocRR, {}}, node);
     }
-    if (node.type == OpType::kScan && config.catalog != nullptr) {
-      // Copies a scan can be re-pointed at: whole-relation replicas, or
-      // the per-shard replication degree of a sharded relation (the
-      // shard-placement move; same move-7 gating).
-      const int copies = config.catalog->ScanCopies(node.relation);
-      for (int32_t r = 0; r < copies; ++r) {
-        if (r != node.replica) {
-          candidates.push_back({i, MoveKind::kReplica, {}, r});
-        }
+    if (config.allow_commute) {
+      visit(Candidate{i, MoveKind::kCommute, {}}, node);
+    }
+  }
+  for (SiteAnnotation annotation : config.space.AllowedFor(node.type)) {
+    if (annotation != node.annotation) {
+      visit(Candidate{i, MoveKind::kAnnotation, annotation}, node);
+    }
+  }
+  if (node.type == OpType::kScan && config.catalog != nullptr) {
+    // Copies a scan can be re-pointed at: whole-relation replicas, or
+    // the per-shard replication degree of a sharded relation (the
+    // shard-placement move; same move-7 gating).
+    const int copies = config.catalog->ScanCopies(node.relation);
+    for (int32_t r = 0; r < copies; ++r) {
+      if (r != node.replica) {
+        visit(Candidate{i, MoveKind::kReplica, {}, r}, node);
       }
     }
   }
-  return candidates;
+  if (node.left) VisitCandidates(*node.left, config, index, visit);
+  if (node.right) VisitCandidates(*node.right, config, index, visit);
+}
+
+/// Visits the candidates of the whole plan. Slot 0 is the display's child
+/// (the real plan root); the display itself is never transformed.
+template <typename Visit>
+void VisitCandidates(const Plan& plan, const TransformConfig& config,
+                     Visit visit) {
+  DIMSUM_CHECK(!plan.empty());
+  int index = 0;
+  if (plan.root()->left) {
+    VisitCandidates(*plan.root()->left, config, &index, visit);
+  }
+}
+
+/// The owning slot at pre-order index `*remaining` below `slot`, or null
+/// when the subtree has fewer slots (`*remaining` is then reduced by its
+/// size).
+std::unique_ptr<PlanNode>* FindSlot(std::unique_ptr<PlanNode>& slot,
+                                    int* remaining) {
+  if (slot == nullptr) return nullptr;
+  if ((*remaining)-- == 0) return &slot;
+  if (auto* found = FindSlot(slot->left, remaining)) return found;
+  return FindSlot(slot->right, remaining);
 }
 
 void ApplyMove(Plan& plan, const Candidate& candidate) {
-  auto slots = Slots(plan);
-  DIMSUM_CHECK_LT(candidate.node_index, static_cast<int>(slots.size()));
-  std::unique_ptr<PlanNode>& slot = *slots[candidate.node_index];
-  PlanNode& node = *slot;
+  int remaining = candidate.node_index;
+  std::unique_ptr<PlanNode>* slot = FindSlot(plan.root()->left, &remaining);
+  DIMSUM_CHECK(slot != nullptr);
+  PlanNode& node = **slot;
   switch (candidate.kind) {
     case MoveKind::kAnnotation:
       node.annotation = candidate.annotation;
@@ -261,15 +272,24 @@ std::optional<Plan> TryRandomMove(const Plan& plan, const QueryGraph& query,
                                   const TransformConfig& config, Rng& rng,
                                   std::optional<MoveType>* chosen_type) {
   if (chosen_type != nullptr) chosen_type->reset();
+  // Count the candidates, draw one, then find it again: two walks of the
+  // input plan instead of a candidate list, so only the copy allocates.
+  int64_t count = 0;
+  VisitCandidates(plan, config,
+                  [&count](const Candidate&, const PlanNode&) { ++count; });
+  if (count == 0) return std::nullopt;
+  const int64_t pick = rng.UniformInt(0, count - 1);
+  Candidate chosen{};
+  MoveType type = MoveType::kAssocLL;
+  int64_t seen = 0;
+  VisitCandidates(plan, config,
+                  [&](const Candidate& candidate, const PlanNode& node) {
+                    if (seen++ != pick) return;
+                    chosen = candidate;
+                    type = CandidateMoveType(candidate, node);
+                  });
+  if (chosen_type != nullptr) *chosen_type = type;
   Plan working = plan.Clone();
-  auto candidates = EnumerateCandidates(working, config);
-  if (candidates.empty()) return std::nullopt;
-  const Candidate& chosen = candidates[static_cast<size_t>(
-      rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
-  if (chosen_type != nullptr) {
-    *chosen_type =
-        CandidateMoveType(chosen, **Slots(working)[chosen.node_index]);
-  }
   ApplyMove(working, chosen);
   if (!PlanIsLegal(working, query, config)) return std::nullopt;
   return working;
@@ -278,10 +298,12 @@ std::optional<Plan> TryRandomMove(const Plan& plan, const QueryGraph& query,
 Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
                 Rng& rng) {
   DIMSUM_CHECK_GT(query.num_relations(), 0);
+  const RelationSets sets(query);
   // Build leaves (scan, optionally wrapped in a select).
   struct Component {
     std::unique_ptr<PlanNode> tree;
-    std::vector<RelationId> relations;
+    uint64_t relations = 0;  // query-local set
+    int size() const { return std::popcount(relations); }
   };
   std::vector<Component> forest;
   for (RelationId rel : query.relations) {
@@ -293,7 +315,7 @@ Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
       tree = MakeSelect(std::move(tree), selectivity,
                         PickAnnotation(config.space, OpType::kSelect, rng));
     }
-    forest.push_back(Component{std::move(tree), {rel}});
+    forest.push_back(Component{std::move(tree), sets.Of(rel)});
   }
   // Randomly combine joinable components into one tree. Under the linear
   // constraint, grow a single tree by always merging the current largest
@@ -304,27 +326,22 @@ Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
     std::vector<std::pair<int, int>> pairs;
     int largest = 0;
     for (int i = 1; i < static_cast<int>(forest.size()); ++i) {
-      if (forest[i].relations.size() > forest[largest].relations.size()) {
-        largest = i;
-      }
+      if (forest[i].size() > forest[largest].size()) largest = i;
     }
     for (int i = 0; i < static_cast<int>(forest.size()); ++i) {
       for (int j = i + 1; j < static_cast<int>(forest.size()); ++j) {
         if (!config.allow_cartesian &&
-            !query.Connects(forest[i].relations, forest[j].relations)) {
+            !sets.Connects(forest[i].relations, forest[j].relations)) {
           continue;
         }
         if (config.require_linear) {
-          const bool i_multi = forest[i].relations.size() > 1;
-          const bool j_multi = forest[j].relations.size() > 1;
+          const bool i_multi = forest[i].size() > 1;
+          const bool j_multi = forest[j].size() > 1;
           if (i_multi && j_multi) continue;
           // Once a multi-relation tree exists, it must take part in every
           // merge so exactly one tree grows.
           if ((i_multi || j_multi) && i != largest && j != largest) continue;
-          if (!i_multi && !j_multi &&
-              forest[largest].relations.size() > 1) {
-            continue;
-          }
+          if (!i_multi && !j_multi && forest[largest].size() > 1) continue;
         }
         pairs.emplace_back(i, j);
       }
@@ -338,10 +355,7 @@ Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
     merged.tree =
         MakeJoin(std::move(forest[i].tree), std::move(forest[j].tree),
                  PickAnnotation(config.space, OpType::kJoin, rng));
-    merged.relations = forest[i].relations;
-    merged.relations.insert(merged.relations.end(),
-                            forest[j].relations.begin(),
-                            forest[j].relations.end());
+    merged.relations = forest[i].relations | forest[j].relations;
     // Remove the two inputs (erase larger index first) and add the merge.
     if (i < j) std::swap(i, j);
     forest.erase(forest.begin() + i);
@@ -375,8 +389,10 @@ void RandomizeAnnotations(Plan& plan, const TransformConfig& config,
 }
 
 int CountMoveCandidates(const Plan& plan, const TransformConfig& config) {
-  Plan working = plan.Clone();
-  return static_cast<int>(EnumerateCandidates(working, config).size());
+  int count = 0;
+  VisitCandidates(plan, config,
+                  [&count](const Candidate&, const PlanNode&) { ++count; });
+  return count;
 }
 
 }  // namespace dimsum

@@ -1,6 +1,6 @@
 #include "plan/validate.h"
 
-#include <algorithm>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -70,37 +70,43 @@ bool WellFormedNode(const PlanNode& node) {
   return true;
 }
 
-bool NoCartesianProducts(const PlanNode& node, const QueryGraph& query) {
-  if (node.type == OpType::kJoin) {
-    const auto left = Plan::RelationsBelow(*node.left);
-    const auto right = Plan::RelationsBelow(*node.right);
-    if (!query.Connects(left, right)) return false;
-  }
-  bool ok = true;
-  if (node.left) ok &= NoCartesianProducts(*node.left, query);
-  if (node.right) ok &= NoCartesianProducts(*node.right, query);
-  return ok;
+bool InSpace(const PlanNode& node, const PolicySpace& space) {
+  if (!space.Allows(node.type, node.annotation)) return false;
+  return (node.left == nullptr || InSpace(*node.left, space)) &&
+         (node.right == nullptr || InSpace(*node.right, space));
 }
 
-bool LinearNode(const PlanNode& node) {
-  if (node.type == OpType::kJoin) {
-    const auto has_join = [](const PlanNode& sub) {
-      bool found = false;
-      const std::function<void(const PlanNode&)> visit =
-          [&](const PlanNode& n) {
-            if (n.type == OpType::kJoin) found = true;
-            if (n.left) visit(*n.left);
-            if (n.right) visit(*n.right);
-          };
-      visit(sub);
-      return found;
-    };
-    if (has_join(*node.left) && has_join(*node.right)) return false;
+/// Relations scanned in the subtree rooted at `node`, as a query-local
+/// set. Clears `*ok` when a scan reads a relation outside the query, two
+/// scans read the same relation, or -- unless `allow_cartesian` -- a join
+/// has no predicate between its inputs.
+uint64_t ScannedRelations(const PlanNode& node, const RelationSets& sets,
+                          bool allow_cartesian, bool* ok) {
+  if (node.type == OpType::kScan) {
+    const uint64_t self = sets.Of(node.relation);
+    if (self == 0) *ok = false;
+    return self;
   }
-  bool ok = true;
-  if (node.left) ok &= LinearNode(*node.left);
-  if (node.right) ok &= LinearNode(*node.right);
-  return ok;
+  const uint64_t left =
+      node.left ? ScannedRelations(*node.left, sets, allow_cartesian, ok) : 0;
+  const uint64_t right =
+      node.right ? ScannedRelations(*node.right, sets, allow_cartesian, ok)
+                 : 0;
+  if ((left & right) != 0) *ok = false;
+  if (node.type == OpType::kJoin && !allow_cartesian &&
+      !sets.Connects(left, right)) {
+    *ok = false;
+  }
+  return left | right;
+}
+
+/// True if the subtree contains a join; clears `*linear` when some join
+/// has joins in both of its subtrees.
+bool HasJoin(const PlanNode& node, bool* linear) {
+  const bool left = node.left != nullptr && HasJoin(*node.left, linear);
+  const bool right = node.right != nullptr && HasJoin(*node.right, linear);
+  if (node.type == OpType::kJoin && left && right) *linear = false;
+  return node.type == OpType::kJoin || left || right;
 }
 
 }  // namespace
@@ -117,31 +123,25 @@ bool IsWellFormed(const Plan& plan) {
 }
 
 bool InPolicySpace(const Plan& plan, const PolicySpace& space) {
-  bool ok = true;
-  plan.ForEach([&](const PlanNode& node) {
-    if (!space.Allows(node.type, node.annotation)) ok = false;
-  });
-  return ok;
+  return plan.empty() || InSpace(*plan.root(), space);
 }
 
 bool MatchesQuery(const Plan& plan, const QueryGraph& query,
                   bool allow_cartesian) {
   if (plan.empty()) return false;
   // The plan must scan each query relation exactly once.
-  std::vector<RelationId> scanned = Plan::RelationsBelow(*plan.root());
-  std::vector<RelationId> expected = query.relations;
-  std::sort(scanned.begin(), scanned.end());
-  std::sort(expected.begin(), expected.end());
-  if (scanned != expected) return false;
-  if (!allow_cartesian && !NoCartesianProducts(*plan.root(), query)) {
-    return false;
-  }
-  return true;
+  const RelationSets sets(query);
+  bool ok = true;
+  const uint64_t scanned =
+      ScannedRelations(*plan.root(), sets, allow_cartesian, &ok);
+  return ok && scanned == sets.all();
 }
 
 bool IsLinear(const Plan& plan) {
   DIMSUM_CHECK(!plan.empty());
-  return LinearNode(*plan.root());
+  bool linear = true;
+  HasJoin(*plan.root(), &linear);
+  return linear;
 }
 
 }  // namespace dimsum

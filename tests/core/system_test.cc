@@ -1,5 +1,9 @@
 #include "core/system.h"
 
+#include <atomic>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
@@ -75,20 +79,22 @@ TEST(ClientServerSystemTest, UtilizationIsCapped) {
   EXPECT_LE(system.ServerDiskUtilization().at(ServerSite(0)), 0.95);
 }
 
+// Replicate runs trials concurrently on the global pool, so the trials
+// below count with an atomic and record into per-seed slots.
 TEST(ExperimentTest, ReplicateStopsWhenConverged) {
-  int calls = 0;
+  std::atomic<int> calls{0};
   RunningStat stat = Replicate(
       [&](uint64_t) {
         ++calls;
         return 100.0;  // zero variance: converges at min_replications
       },
       ReplicationOptions{});
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
   EXPECT_EQ(stat.mean(), 100.0);
 }
 
 TEST(ExperimentTest, ReplicateRunsToCapOnNoisyData) {
-  int calls = 0;
+  std::atomic<int> calls{0};
   ReplicationOptions options;
   options.max_replications = 7;
   Replicate(
@@ -97,20 +103,26 @@ TEST(ExperimentTest, ReplicateRunsToCapOnNoisyData) {
         return (seed % 2 == 0) ? 1.0 : 1000.0;  // wildly noisy
       },
       options);
-  EXPECT_EQ(calls, 7);
+  EXPECT_EQ(calls.load(), 7);
 }
 
 TEST(ExperimentTest, SeedsAreSequential) {
-  std::vector<uint64_t> seeds;
+  constexpr uint64_t kBase = 100;
+  std::vector<uint64_t> seeds(4, 0);
   ReplicationOptions options;
   options.min_replications = 4;
   options.max_replications = 4;
   Replicate(
       [&](uint64_t seed) {
-        seeds.push_back(seed);
+        // One slot per trial: seed - kBase is the trial's index.
+        EXPECT_GE(seed, kBase);
+        EXPECT_LT(seed, kBase + seeds.size());
+        if (seed >= kBase && seed < kBase + seeds.size()) {
+          seeds[static_cast<std::size_t>(seed - kBase)] = seed;
+        }
         return 1.0;
       },
-      options, /*base_seed=*/100);
+      options, /*base_seed=*/kBase);
   EXPECT_EQ(seeds, (std::vector<uint64_t>{100, 101, 102, 103}));
 }
 

@@ -1,8 +1,13 @@
 #include "plan/plan.h"
 
+#include <cstdint>
+#include <initializer_list>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "plan/printer.h"
+#include "plan/query.h"
 #include "plan/validate.h"
 
 namespace dimsum {
@@ -153,6 +158,60 @@ TEST(PrinterTest, RendersAnnotations) {
   EXPECT_NE(text.find("display [client]"), std::string::npos);
   EXPECT_NE(text.find("join [consumer]"), std::string::npos);
   EXPECT_NE(text.find("scan R0 [client]"), std::string::npos);
+}
+
+QueryGraph ChainOf(int n) {
+  std::vector<RelationId> relations;
+  for (int i = 0; i < n; ++i) relations.push_back(i);
+  return QueryGraph::Chain(std::move(relations));
+}
+
+TEST(RelationSetsTest, BitsFollowQueryOrder) {
+  QueryGraph query = QueryGraph::Chain({7, 3, 5});
+  const RelationSets sets(query);
+  EXPECT_EQ(sets.Of(7), 0b001u);
+  EXPECT_EQ(sets.Of(3), 0b010u);
+  EXPECT_EQ(sets.Of(5), 0b100u);
+  EXPECT_EQ(sets.Of(4), 0u);  // not in the query
+  EXPECT_EQ(sets.all(), 0b111u);
+}
+
+TEST(RelationSetsTest, ConnectsFollowsJoinPredicates) {
+  const QueryGraph query = ChainOf(4);  // 0 - 1 - 2 - 3
+  const RelationSets sets(query);
+  const auto set = [&sets](std::initializer_list<RelationId> rels) {
+    uint64_t out = 0;
+    for (const RelationId r : rels) out |= sets.Of(r);
+    return out;
+  };
+  EXPECT_TRUE(sets.Connects(set({0}), set({1})));
+  EXPECT_TRUE(sets.Connects(set({1}), set({0})));
+  EXPECT_FALSE(sets.Connects(set({0}), set({2})));
+  EXPECT_TRUE(sets.Connects(set({0, 1}), set({2, 3})));
+  EXPECT_FALSE(sets.Connects(set({0, 3}), set({})));
+}
+
+TEST(RelationSetsTest, HoldsExactlySixtyFourRelations) {
+  const QueryGraph query = ChainOf(RelationSets::kMaxRelations);
+  const RelationSets sets(query);
+  EXPECT_EQ(sets.all(), ~uint64_t{0});
+  EXPECT_EQ(sets.Of(63), uint64_t{1} << 63);
+  EXPECT_TRUE(sets.Connects(sets.Of(62), sets.Of(63)));
+}
+
+TEST(RelationSetsDeathTest, RejectsQueriesWiderThanSixtyFourRelations) {
+  const QueryGraph query = ChainOf(RelationSets::kMaxRelations + 1);
+  EXPECT_DEATH(RelationSets{query},
+               "query has 65 relations; relation sets hold at most 64");
+  // Validation builds the index, so it rejects the query too.
+  EXPECT_DEATH(MatchesQuery(TwoWayDataShippingPlan(), query),
+               "relation sets hold at most 64");
+}
+
+TEST(RelationSetsDeathTest, RejectsARepeatedRelation) {
+  QueryGraph query;
+  query.relations = {0, 1, 0};
+  EXPECT_DEATH(RelationSets{query}, "names a relation more than once");
 }
 
 }  // namespace

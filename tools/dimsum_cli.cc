@@ -6,12 +6,15 @@
 //
 // Run with --help for the full flag list.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -23,6 +26,7 @@
 #include "opt/cost_cache.h"
 #include "plan/binding.h"
 #include "plan/printer.h"
+#include "plan/query.h"
 #include "sim/fault.h"
 #include "sim/telemetry.h"
 #include "sim/trace.h"
@@ -117,7 +121,7 @@ void PrintUsage() {
       "usage: dimsum_cli [flags]\n"
       "  --policy=ds|qs|hy        shipping policy (default hy)\n"
       "  --metric=pages|time|cost optimizer metric (default time)\n"
-      "  --relations=N            chain-join width (default 2)\n"
+      "  --relations=N            chain-join width, 1..64 (default 2)\n"
       "  --servers=K              number of servers (default 1)\n"
       "  --replicas=D             copies of every relation, 1..servers\n"
       "                           (default 1); extra copies go round-robin\n"
@@ -196,6 +200,34 @@ void PrintUsage() {
       "  --help                   this message\n";
 }
 
+/// Parses `value` as a whole decimal integer in [lo, hi]. Rejects empty
+/// values, anything but an optional '-' and digits, and values outside
+/// the range (including ones no int can hold).
+std::optional<int> ParseIntInRange(const std::string& value, int lo, int hi) {
+  int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || error != std::errc() || stop != end || parsed < lo ||
+      parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+/// Stores the integer flag `--name=value` into `*out`; on a malformed or
+/// out-of-range value prints why and returns false.
+bool SetIntFlag(const char* name, const std::string& value, int lo, int* out,
+                int hi = std::numeric_limits<int>::max()) {
+  const std::optional<int> parsed = ParseIntInRange(value, lo, hi);
+  if (!parsed.has_value()) {
+    std::cerr << "invalid --" << name << ": '" << value
+              << "' (expected an integer in [" << lo << ", " << hi << "])\n";
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
 bool ParseFlag(const std::string& arg, const std::string& name,
                std::string* value) {
   const std::string prefix = "--" + name + "=";
@@ -228,11 +260,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       else if (value == "cost") options->metric = OptimizeMetric::kTotalCost;
       else return false;
     } else if (ParseFlag(arg, "relations", &value)) {
-      options->relations = std::atoi(value.c_str());
+      // The optimizer indexes a query's relations in 64-bit sets.
+      if (!SetIntFlag("relations", value, 1, &options->relations,
+                      RelationSets::kMaxRelations)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "servers", &value)) {
-      options->servers = std::atoi(value.c_str());
+      if (!SetIntFlag("servers", value, 1, &options->servers)) return false;
     } else if (ParseFlag(arg, "replicas", &value)) {
-      options->replicas = std::atoi(value.c_str());
+      if (!SetIntFlag("replicas", value, 1, &options->replicas)) return false;
     } else if (ParseFlag(arg, "replica-policy", &value)) {
       if (value == "first") {
         options->replica_policy = ReplicaPolicy::kFirstCopy;
@@ -246,7 +282,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
     } else if (ParseFlag(arg, "shards", &value)) {
-      options->shards = std::atoi(value.c_str());
+      if (!SetIntFlag("shards", value, 1, &options->shards)) return false;
     } else if (ParseFlag(arg, "shard-scheme", &value)) {
       if (value == "range") {
         options->shard_scheme = ShardScheme::kRange;
@@ -268,13 +304,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       else if (value == "max") options->alloc = BufAlloc::kMaximum;
       else return false;
     } else if (ParseFlag(arg, "disks", &value)) {
-      options->disks = std::atoi(value.c_str());
+      if (!SetIntFlag("disks", value, 1, &options->disks)) return false;
     } else if (ParseFlag(arg, "client-mips", &value)) {
       options->client_mips = std::atof(value.c_str());
     } else if (ParseFlag(arg, "seed", &value)) {
       options->seed = static_cast<uint64_t>(std::atoll(value.c_str()));
     } else if (ParseFlag(arg, "threads", &value)) {
-      options->threads = std::atoi(value.c_str());
+      if (!SetIntFlag("threads", value, 1, &options->threads)) return false;
     } else if (ParseFlag(arg, "trace", &value)) {
       options->trace_file = value;
     } else if (ParseFlag(arg, "metrics", &value)) {
