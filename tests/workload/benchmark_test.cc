@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/query.h"
+
 namespace dimsum {
 namespace {
 
@@ -22,9 +24,10 @@ TEST(WorkloadTest, ChainEdgesConnectAdjacentRelations) {
   spec.num_relations = 5;
   BenchmarkWorkload w = MakeChainWorkloadRoundRobin(spec);
   EXPECT_EQ(w.query.edges.size(), 4u);
-  EXPECT_TRUE(w.query.HasEdge(0, 1));
-  EXPECT_TRUE(w.query.HasEdge(3, 4));
-  EXPECT_FALSE(w.query.HasEdge(0, 2));
+  const RelationSets sets(w.query);
+  EXPECT_TRUE(sets.Connects(sets.Of(0), sets.Of(1)));
+  EXPECT_TRUE(sets.Connects(sets.Of(3), sets.Of(4)));
+  EXPECT_FALSE(sets.Connects(sets.Of(0), sets.Of(2)));
 }
 
 TEST(WorkloadTest, RandomPlacementCoversEveryServer) {
