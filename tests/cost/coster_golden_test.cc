@@ -8,7 +8,6 @@
 // keep every bit.
 
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,6 +20,7 @@
 #include "cost/comm_cost.h"
 #include "cost/cost_model.h"
 #include "cost/response_time.h"
+#include "golden_digest.h"
 #include "opt/cost_cache.h"
 #include "opt/optimizer.h"
 #include "plan/binding.h"
@@ -32,28 +32,6 @@ namespace {
 
 constexpr int kRelations = 8;
 constexpr int kWalkSteps = 16;
-
-/// FNV-1a 64 over the bytes folded in.
-class Digest {
- public:
-  void AddBytes(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void AddInt(int64_t value) { AddBytes(&value, sizeof(value)); }
-  void AddDouble(double value) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    AddBytes(&bits, sizeof(bits));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ULL;
-};
 
 /// One point of the grid: a catalog, the parameters and external disk
 /// load it is costed under, and the policy whose plan space is walked.
