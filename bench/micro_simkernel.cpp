@@ -1,489 +1,85 @@
 /// \file
-/// DES kernel microbenchmark: the redesigned kernel (calendar-queue or
-/// binary-heap event queue, inline 64-byte events, pooled coroutine
-/// frames) against a faithful replica of the pre-redesign kernel embedded
-/// below (std::priority_queue of entries carrying a std::function,
-/// global-new coroutine frames, capture-heavy completion lambdas).
-///
-/// Every scenario is a template instantiated over all three kernels, so
-/// the workload code -- and the Rng stream it consumes -- is identical;
-/// per-scenario event counts are asserted equal across kernels. Scenarios:
+/// DES kernel microbenchmark: events/sec of the simulator (binary-heap
+/// event queue, inline 56-byte events, pooled coroutine frames) on six
+/// scenarios:
 ///
 ///   hold         classic hold model: a bank of self-rescheduling inline
 ///                callbacks with exponential holds (pure queue churn).
 ///   delay1000    1000 processes looping over sim.Delay (frame-free timer
 ///                churn through coroutine resumption).
 ///   resource1000 1000 processes contending for 16 FIFO resources
-///                (completion-callback path: fat lambda captures on the
-///                legacy kernel, [this]-only on the new one).
+///                (completion-callback path).
 ///   channel1000  500 producer/consumer pairs over bounded channels.
 ///   nested1000   1000 processes awaiting depth-8 Task chains (frame
-///                allocation churn: pooled vs global new).
+///                allocation churn through the frame pool).
 ///   timers1000   1000 processes spawning detached one-shot timers with
 ///                long lifetimes, holding ~100k events pending (the
-///                large-population regime where bucket order beats a
-///                d-ary heap's log n sifts).
+///                large-population regime).
 ///
-/// Writes BENCH_kernel.json: one record per (scenario, kernel) with
-/// events/sec and speedup_vs_legacy, plus the new kernel's counters
-/// (peak queue depth, calendar resizes, frame-pool hit rate).
+/// Writes BENCH_kernel.json: one record per scenario with its event count,
+/// events/sec, peak queue depth and frame-pool hit rate.
+/// tools/perf_report.py compares the records with the committed baseline
+/// (bench/baselines/BENCH_kernel.json): the event counts are deterministic
+/// and gate hard, events/sec only warns.
 ///
 /// Flags: --smoke (CI sizes), --reps=N (best-of-N timing, default 2),
 /// --out=PATH.
 
 #include <chrono>
-#include <cmath>
-#include <coroutine>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "harness.h"
 #include "sim/channel.h"
-#include "sim/event_queue.h"
 #include "sim/frame_pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
-namespace legacy {
-
-// ---------------------------------------------------------------------------
-// Pre-redesign kernel, reproduced verbatim-in-spirit from the repository
-// history: a binary-heap priority queue whose entries carry an owning
-// std::function (one allocation per out-of-line callback event, one copy
-// per pop), coroutine frames on global new/delete, and resource completion
-// lambdas capturing the full request by value. Kept in the benchmark
-// binary so the comparison baseline cannot drift as src/sim evolves.
-// ---------------------------------------------------------------------------
-
-class Process;
-
-class Simulator {
- public:
-  Simulator() = default;
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-
-  double now() const { return now_; }
-
-  void Resume(double delay, std::coroutine_handle<> handle) {
-    DIMSUM_CHECK_GE(delay, 0.0);
-    DIMSUM_CHECK(handle);
-    queue_.push(Entry{now_ + delay, next_seq_++, handle, nullptr});
-  }
-
-  void Call(double delay, std::function<void()> fn) {
-    DIMSUM_CHECK_GE(delay, 0.0);
-    DIMSUM_CHECK(fn);
-    queue_.push(Entry{now_ + delay, next_seq_++, nullptr, std::move(fn)});
-  }
-
-  void Spawn(Process process);
-
-  bool Step() {
-    if (queue_.empty()) return false;
-    Entry entry = queue_.top();
-    queue_.pop();
-    DIMSUM_CHECK_GE(entry.time, now_);
-    now_ = entry.time;
-    ++processed_;
-    if (entry.handle) {
-      entry.handle.resume();
-    } else {
-      entry.fn();
-    }
-    return true;
-  }
-
-  void Run() {
-    while (Step()) {
-    }
-  }
-
-  uint64_t processed_events() const { return processed_; }
-
-  auto Delay(double delay) {
-    struct Awaiter {
-      Simulator& sim;
-      double delay;
-      bool await_ready() const noexcept { return delay <= 0.0; }
-      void await_suspend(std::coroutine_handle<> h) { sim.Resume(delay, h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, delay};
-  }
-
- private:
-  struct Entry {
-    double time;
-    uint64_t seq;
-    std::coroutine_handle<> handle;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  double now_ = 0.0;
-  uint64_t next_seq_ = 0;
-  uint64_t processed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-};
-
-template <typename T>
-class [[nodiscard]] Task {
- public:
-  struct promise_type;
-  using Handle = std::coroutine_handle<promise_type>;
-
-  struct FinalAwaiter {
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(Handle h) const noexcept {
-      auto continuation = h.promise().continuation;
-      return continuation ? continuation : std::noop_coroutine();
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct promise_type {  // global new/delete: no PooledFrame base
-    std::coroutine_handle<> continuation;
-    std::optional<T> value;
-
-    Task get_return_object() { return Task(Handle::from_promise(*this)); }
-    std::suspend_always initial_suspend() const noexcept { return {}; }
-    FinalAwaiter final_suspend() const noexcept { return {}; }
-    void return_value(T v) { value.emplace(std::move(v)); }
-    [[noreturn]] void unhandled_exception() { std::terminate(); }
-  };
-
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() {
-    if (handle_) handle_.destroy();
-  }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
-    handle_.promise().continuation = caller;
-    return handle_;
-  }
-  T await_resume() {
-    DIMSUM_CHECK(handle_.promise().value.has_value());
-    return std::move(*handle_.promise().value);
-  }
-
- private:
-  explicit Task(Handle handle) : handle_(handle) {}
-  Handle handle_;
-};
-
-class Process {
- public:
-  struct promise_type;
-  using Handle = std::coroutine_handle<promise_type>;
-
-  struct FinalAwaiter {
-    promise_type* promise;
-    bool await_ready() const noexcept {
-      if (promise->on_done) promise->on_done();
-      return true;  // never suspend: frame is destroyed on return
-    }
-    void await_suspend(std::coroutine_handle<>) const noexcept {}
-    void await_resume() const noexcept {}
-  };
-
-  struct promise_type {
-    std::function<void()> on_done;
-
-    Process get_return_object() { return Process(Handle::from_promise(*this)); }
-    std::suspend_always initial_suspend() const noexcept { return {}; }
-    FinalAwaiter final_suspend() noexcept { return FinalAwaiter{this}; }
-    void return_void() const noexcept {}
-    [[noreturn]] void unhandled_exception() { std::terminate(); }
-  };
-
-  Process(Process&& other) noexcept
-      : handle_(std::exchange(other.handle_, {})) {}
-  Process(const Process&) = delete;
-  Process& operator=(const Process&) = delete;
-  ~Process() {
-    if (handle_) handle_.destroy();
-  }
-
-  Handle Release() { return std::exchange(handle_, {}); }
-
- private:
-  explicit Process(Handle handle) : handle_(handle) {}
-  Handle handle_;
-};
-
-inline void Simulator::Spawn(Process process) {
-  Process::Handle handle = process.Release();
-  DIMSUM_CHECK(handle);
-  Resume(0.0, handle);
-}
-
-class Resource {
- public:
-  Resource(Simulator& sim, std::string name) : sim_(sim), name_(std::move(name)) {}
-  Resource(const Resource&) = delete;
-  Resource& operator=(const Resource&) = delete;
-
-  auto Use(double service_ms) {
-    struct Awaiter {
-      Resource& resource;
-      double service_ms;
-      bool await_ready() const noexcept { return service_ms <= 0.0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        resource.Enqueue(h, service_ms);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, service_ms};
-  }
-
- private:
-  struct Request {
-    std::coroutine_handle<> handle;
-    double service_ms;
-    double enqueue_time;
-  };
-
-  void Enqueue(std::coroutine_handle<> handle, double service_ms) {
-    queue_.push_back(Request{handle, service_ms, sim_.now()});
-    Dispatch();
-  }
-
-  void Dispatch() {
-    if (busy_ || queue_.empty()) return;
-    busy_ = true;
-    Request request = queue_.front();
-    queue_.pop_front();
-    const double wait = sim_.now() - request.enqueue_time;
-    wait_ms_ += wait;
-    busy_ms_ += request.service_ms;
-    const double start = sim_.now();
-    // The pre-redesign completion lambda: 48 bytes of captures, which
-    // overflows std::function's inline buffer and heap-allocates per
-    // dispatch.
-    sim_.Call(request.service_ms, [this, request, wait, start] {
-      busy_ = false;
-      (void)wait;
-      (void)start;
-      sim_.Resume(0.0, request.handle);
-      Dispatch();
-    });
-  }
-
-  Simulator& sim_;
-  std::string name_;
-  bool busy_ = false;
-  std::deque<Request> queue_;
-  double busy_ms_ = 0.0;
-  double wait_ms_ = 0.0;
-};
-
-template <typename T>
-class Channel {
- public:
-  Channel(Simulator& sim, size_t capacity) : sim_(sim), capacity_(capacity) {
-    DIMSUM_CHECK_GE(capacity, size_t{1});
-  }
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  struct PutAwaiter {
-    Channel& channel;
-    T value;
-    bool await_ready() {
-      if (channel.buffer_.size() < channel.capacity_) {
-        channel.PushAndWakeGetter(std::move(value));
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      channel.putters_.push_back(Putter{h, std::move(value)});
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct GetAwaiter {
-    Channel& channel;
-    std::optional<T> result;
-    bool await_ready() {
-      if (!channel.buffer_.empty()) {
-        result = std::move(channel.buffer_.front());
-        channel.buffer_.pop_front();
-        channel.AdmitPutter();
-        return true;
-      }
-      if (channel.closed_) {
-        result = std::nullopt;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      channel.getters_.push_back(Getter{h, this});
-    }
-    std::optional<T> await_resume() { return std::move(result); }
-  };
-
-  PutAwaiter Put(T value) {
-    DIMSUM_CHECK(!closed_);
-    return PutAwaiter{*this, std::move(value)};
-  }
-  GetAwaiter Get() { return GetAwaiter{*this, std::nullopt}; }
-
-  void Close() {
-    if (closed_) return;
-    closed_ = true;
-    while (!getters_.empty()) {
-      Getter getter = getters_.front();
-      getters_.pop_front();
-      getter.awaiter->result = std::nullopt;
-      sim_.Resume(0.0, getter.handle);
-    }
-  }
-
- private:
-  struct Putter {
-    std::coroutine_handle<> handle;
-    T value;
-  };
-  struct Getter {
-    std::coroutine_handle<> handle;
-    GetAwaiter* awaiter;
-  };
-
-  void PushAndWakeGetter(T value) {
-    if (!getters_.empty()) {
-      DIMSUM_CHECK(buffer_.empty());
-      Getter getter = getters_.front();
-      getters_.pop_front();
-      getter.awaiter->result = std::move(value);
-      sim_.Resume(0.0, getter.handle);
-      return;
-    }
-    buffer_.push_back(std::move(value));
-  }
-
-  void AdmitPutter() {
-    if (putters_.empty()) return;
-    Putter putter = std::move(putters_.front());
-    putters_.pop_front();
-    PushAndWakeGetter(std::move(putter.value));
-    sim_.Resume(0.0, putter.handle);
-  }
-
-  Simulator& sim_;
-  size_t capacity_;
-  bool closed_ = false;
-  std::deque<T> buffer_;
-  std::deque<Putter> putters_;
-  std::deque<Getter> getters_;
-};
-
-}  // namespace legacy
-
 namespace {
 
-// ---------------------------------------------------------------------------
-// Kernel bindings: one scenario template instantiates against each.
-// ---------------------------------------------------------------------------
+using dimsum::Rng;
+using dimsum::sim::Channel;
+using dimsum::sim::FramePool;
+using dimsum::sim::Process;
+using dimsum::sim::Resource;
+using dimsum::sim::Simulator;
+using dimsum::sim::Task;
 
 struct ScenarioResult {
   uint64_t events = 0;
   double wall_ms = 0.0;
   uint64_t peak_queue_depth = 0;
-  uint64_t calendar_resizes = 0;
-  double frame_pool_hit_rate = -1.0;  // -1 = not instrumented (legacy)
+  double frame_pool_hit_rate = -1.0;  // -1 = no frame allocations
 };
-
-struct LegacyKernel {
-  static const char* Name() { return "legacy"; }
-  using Simulator = legacy::Simulator;
-  using Process = legacy::Process;
-  template <typename T>
-  using Task = legacy::Task<T>;
-  using Resource = legacy::Resource;
-  template <typename T>
-  using Channel = legacy::Channel<T>;
-
-  static std::unique_ptr<Simulator> NewSimulator() {
-    return std::make_unique<Simulator>();
-  }
-  static void FillCounters(const Simulator&,
-                           const dimsum::sim::FramePool::Stats&,
-                           ScenarioResult&) {}
-};
-
-template <dimsum::sim::EventQueueKind Kind>
-struct NewKernel {
-  static const char* Name() {
-    return Kind == dimsum::sim::EventQueueKind::kCalendar ? "calendar"
-                                                          : "heap";
-  }
-  using Simulator = dimsum::sim::Simulator;
-  using Process = dimsum::sim::Process;
-  template <typename T>
-  using Task = dimsum::sim::Task<T>;
-  using Resource = dimsum::sim::Resource;
-  template <typename T>
-  using Channel = dimsum::sim::Channel<T>;
-
-  static std::unique_ptr<Simulator> NewSimulator() {
-    return std::make_unique<Simulator>(Kind);
-  }
-  static void FillCounters(const Simulator& sim,
-                           const dimsum::sim::FramePool::Stats& before,
-                           ScenarioResult& r) {
-    r.peak_queue_depth = sim.peak_queue_depth();
-    r.calendar_resizes = sim.calendar_resizes();
-    const dimsum::sim::FramePool::Stats now =
-        dimsum::sim::FramePool::ThisThread().stats();
-    const uint64_t hits = now.hits - before.hits;
-    const uint64_t misses = now.misses - before.misses;
-    r.frame_pool_hit_rate =
-        hits + misses > 0
-            ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-            : -1.0;
-  }
-};
-
-using HeapKernel = NewKernel<dimsum::sim::EventQueueKind::kHeap>;
-using CalendarKernel = NewKernel<dimsum::sim::EventQueueKind::kCalendar>;
 
 /// Times sim.Run() (setup excluded) and collects kernel counters. Called
 /// with the scenario's locals still in scope, so workload state outlives
 /// the run.
-template <typename K>
-ScenarioResult FinishRun(typename K::Simulator& sim) {
-  const dimsum::sim::FramePool::Stats pool_before =
-      dimsum::sim::FramePool::ThisThread().stats();
+ScenarioResult FinishRun(Simulator& sim) {
+  const FramePool::Stats before = FramePool::ThisThread().stats();
   const auto t0 = std::chrono::steady_clock::now();
   sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
   ScenarioResult r;
   r.events = sim.processed_events();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  K::FillCounters(sim, pool_before, r);
+  r.peak_queue_depth = sim.peak_queue_depth();
+  const FramePool::Stats after = FramePool::ThisThread().stats();
+  const uint64_t hits = after.hits - before.hits;
+  const uint64_t misses = after.misses - before.misses;
+  if (hits + misses > 0) {
+    r.frame_pool_hit_rate =
+        static_cast<double>(hits) / static_cast<double>(hits + misses);
+  }
   return r;
 }
 
@@ -507,103 +103,90 @@ constexpr Sizes kFull = {1'500'000, 8192, 1000, 1500, 400, 500, 600, 600, 120};
 constexpr Sizes kSmoke = {150'000, 4096, 1000, 150, 40, 500, 60, 60, 12};
 
 // ---------------------------------------------------------------------------
-// hold: self-rescheduling callbacks. 24 bytes of state: inline in the new
-// kernel's events, a heap-allocated std::function on the legacy kernel.
+// hold: self-rescheduling callbacks with 24 bytes of state, stored inline
+// in the events.
 // ---------------------------------------------------------------------------
 
-template <typename K>
 struct HoldCtx {
-  typename K::Simulator* sim;
-  dimsum::Rng* rng;
+  Simulator* sim;
+  Rng* rng;
   long remaining;
 };
 
-template <typename K>
 struct HoldFn {
-  HoldCtx<K>* ctx;
+  HoldCtx* ctx;
   double payload[2];
   void operator()() const {
     if (ctx->remaining-- <= 0) return;
     ctx->sim->Call(ctx->rng->Exponential(10.0),
-                   HoldFn<K>{ctx, {payload[0] + 1.0, payload[1]}});
+                   HoldFn{ctx, {payload[0] + 1.0, payload[1]}});
   }
 };
 
-template <typename K>
 ScenarioResult ScenarioHold(const Sizes& s) {
-  auto sim = K::NewSimulator();
-  dimsum::Rng rng(42);
-  HoldCtx<K> ctx{sim.get(), &rng, s.hold_events};
+  Simulator sim;
+  Rng rng(42);
+  HoldCtx ctx{&sim, &rng, s.hold_events};
   for (int i = 0; i < s.hold_population; ++i) {
-    sim->Call(rng.Exponential(10.0),
-              HoldFn<K>{&ctx, {static_cast<double>(i), 0.0}});
+    sim.Call(rng.Exponential(10.0),
+             HoldFn{&ctx, {static_cast<double>(i), 0.0}});
   }
-  return FinishRun<K>(*sim);
+  return FinishRun(sim);
 }
 
 // ---------------------------------------------------------------------------
 // delay1000: coroutine timer churn.
 // ---------------------------------------------------------------------------
 
-template <typename K>
-typename K::Process DelayChurn(typename K::Simulator& sim, dimsum::Rng rng,
-                               int rounds) {
+Process DelayChurn(Simulator& sim, Rng rng, int rounds) {
   for (int i = 0; i < rounds; ++i) {
     co_await sim.Delay(rng.Exponential(10.0));
   }
 }
 
-template <typename K>
 ScenarioResult ScenarioDelay(const Sizes& s) {
-  auto sim = K::NewSimulator();
-  dimsum::Rng root(7);
+  Simulator sim;
+  Rng root(7);
   for (int p = 0; p < s.procs; ++p) {
-    sim->Spawn(DelayChurn<K>(*sim, root.Fork(), s.delay_rounds));
+    sim.Spawn(DelayChurn(sim, root.Fork(), s.delay_rounds));
   }
-  return FinishRun<K>(*sim);
+  return FinishRun(sim);
 }
 
 // ---------------------------------------------------------------------------
 // resource1000: FIFO-server contention (completion-callback path).
 // ---------------------------------------------------------------------------
 
-template <typename K>
-typename K::Process ResourceUser(
-    typename K::Simulator& sim,
-    std::vector<std::unique_ptr<typename K::Resource>>& resources,
-    dimsum::Rng rng, int rounds) {
+Process ResourceUser(Simulator& sim,
+                     std::vector<std::unique_ptr<Resource>>& resources,
+                     Rng rng, int rounds) {
   const int64_t n = static_cast<int64_t>(resources.size());
   for (int i = 0; i < rounds; ++i) {
-    typename K::Resource& r = *resources[rng.UniformInt(0, n - 1)];
+    Resource& r = *resources[rng.UniformInt(0, n - 1)];
     co_await r.Use(rng.Exponential(5.0));
     co_await sim.Delay(rng.Exponential(20.0));
   }
 }
 
-template <typename K>
 ScenarioResult ScenarioResource(const Sizes& s) {
-  auto sim = K::NewSimulator();
-  std::vector<std::unique_ptr<typename K::Resource>> resources;
+  Simulator sim;
+  std::vector<std::unique_ptr<Resource>> resources;
   for (int i = 0; i < 16; ++i) {
-    resources.push_back(std::make_unique<typename K::Resource>(
-        *sim, "r" + std::to_string(i)));
+    resources.push_back(
+        std::make_unique<Resource>(sim, "r" + std::to_string(i)));
   }
-  dimsum::Rng root(11);
+  Rng root(11);
   for (int p = 0; p < s.procs; ++p) {
-    sim->Spawn(ResourceUser<K>(*sim, resources, root.Fork(),
-                               s.resource_rounds));
+    sim.Spawn(ResourceUser(sim, resources, root.Fork(), s.resource_rounds));
   }
-  return FinishRun<K>(*sim);
+  return FinishRun(sim);
 }
 
 // ---------------------------------------------------------------------------
 // channel1000: bounded producer/consumer hand-offs.
 // ---------------------------------------------------------------------------
 
-template <typename K>
-typename K::Process Producer(typename K::Simulator& sim,
-                             typename K::template Channel<int>& channel,
-                             dimsum::Rng rng, int items) {
+Process Producer(Simulator& sim, Channel<int>& channel, Rng rng, int items) {
   for (int i = 0; i < items; ++i) {
     co_await sim.Delay(rng.Exponential(2.0));
     co_await channel.Put(i);
@@ -611,9 +194,7 @@ typename K::Process Producer(typename K::Simulator& sim,
   channel.Close();
 }
 
-template <typename K>
-typename K::Process Consumer(typename K::template Channel<int>& channel,
-                             long* sum) {
+Process Consumer(Channel<int>& channel, long* sum) {
   for (;;) {
     std::optional<int> value = co_await channel.Get();
     if (!value.has_value()) break;
@@ -621,20 +202,17 @@ typename K::Process Consumer(typename K::template Channel<int>& channel,
   }
 }
 
-template <typename K>
 ScenarioResult ScenarioChannel(const Sizes& s) {
-  auto sim = K::NewSimulator();
-  std::vector<std::unique_ptr<typename K::template Channel<int>>> channels;
+  Simulator sim;
+  std::vector<std::unique_ptr<Channel<int>>> channels;
   long sum = 0;
-  dimsum::Rng root(13);
+  Rng root(13);
   for (int p = 0; p < s.channel_pairs; ++p) {
-    channels.push_back(
-        std::make_unique<typename K::template Channel<int>>(*sim, 2));
-    sim->Spawn(Producer<K>(*sim, *channels.back(), root.Fork(),
-                           s.channel_items));
-    sim->Spawn(Consumer<K>(*channels.back(), &sum));
+    channels.push_back(std::make_unique<Channel<int>>(sim, 2));
+    sim.Spawn(Producer(sim, *channels.back(), root.Fork(), s.channel_items));
+    sim.Spawn(Consumer(*channels.back(), &sum));
   }
-  ScenarioResult r = FinishRun<K>(*sim);
+  ScenarioResult r = FinishRun(sim);
   const long expected = static_cast<long>(s.channel_pairs) *
                         (static_cast<long>(s.channel_items) *
                          (s.channel_items - 1) / 2);
@@ -646,34 +224,29 @@ ScenarioResult ScenarioChannel(const Sizes& s) {
 // nested1000: Task-chain frame churn.
 // ---------------------------------------------------------------------------
 
-template <typename K>
-typename K::template Task<int> Leaf(typename K::Simulator& sim) {
+Task<int> Leaf(Simulator& sim) {
   co_await sim.Delay(1.0);
   co_return 1;
 }
 
-template <typename K>
-typename K::template Task<int> Chain(typename K::Simulator& sim, int depth) {
-  if (depth == 0) co_return co_await Leaf<K>(sim);
-  co_return 1 + co_await Chain<K>(sim, depth - 1);
+Task<int> Chain(Simulator& sim, int depth) {
+  if (depth == 0) co_return co_await Leaf(sim);
+  co_return 1 + co_await Chain(sim, depth - 1);
 }
 
-template <typename K>
-typename K::Process NestedChurn(typename K::Simulator& sim, int rounds,
-                                long* sum) {
+Process NestedChurn(Simulator& sim, int rounds, long* sum) {
   for (int i = 0; i < rounds; ++i) {
-    *sum += co_await Chain<K>(sim, 8);
+    *sum += co_await Chain(sim, 8);
   }
 }
 
-template <typename K>
 ScenarioResult ScenarioNested(const Sizes& s) {
-  auto sim = K::NewSimulator();
+  Simulator sim;
   long sum = 0;
   for (int p = 0; p < s.procs; ++p) {
-    sim->Spawn(NestedChurn<K>(*sim, s.nested_rounds, &sum));
+    sim.Spawn(NestedChurn(sim, s.nested_rounds, &sum));
   }
-  ScenarioResult r = FinishRun<K>(*sim);
+  ScenarioResult r = FinishRun(sim);
   DIMSUM_CHECK_EQ(sum, static_cast<long>(s.procs) * s.nested_rounds * 9);
   return r;
 }
@@ -681,55 +254,51 @@ ScenarioResult ScenarioNested(const Sizes& s) {
 // ---------------------------------------------------------------------------
 // timers1000: large pending population. Each process spawns detached
 // one-shot timers with Exp(500) lifetimes every Exp(5) ms, so ~100x more
-// timers are pending than firing -- the regime calendar queues are for.
+// timers are pending than firing.
 // ---------------------------------------------------------------------------
 
-template <typename K>
-typename K::Process OneShot(typename K::Simulator& sim, double delay_ms) {
+Process OneShot(Simulator& sim, double delay_ms) {
   co_await sim.Delay(delay_ms);
 }
 
-template <typename K>
-typename K::Process TimerChurn(typename K::Simulator& sim, dimsum::Rng rng,
-                               int rounds) {
+Process TimerChurn(Simulator& sim, Rng rng, int rounds) {
   for (int i = 0; i < rounds; ++i) {
-    sim.Spawn(OneShot<K>(sim, rng.Exponential(500.0)));
+    sim.Spawn(OneShot(sim, rng.Exponential(500.0)));
     co_await sim.Delay(rng.Exponential(5.0));
   }
 }
 
-template <typename K>
 ScenarioResult ScenarioTimers(const Sizes& s) {
-  auto sim = K::NewSimulator();
-  dimsum::Rng root(17);
+  Simulator sim;
+  Rng root(17);
   for (int p = 0; p < s.procs; ++p) {
-    sim->Spawn(TimerChurn<K>(*sim, root.Fork(), s.timer_rounds));
+    sim.Spawn(TimerChurn(sim, root.Fork(), s.timer_rounds));
   }
-  return FinishRun<K>(*sim);
+  return FinishRun(sim);
 }
 
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-template <typename K>
-ScenarioResult RunScenario(const std::string& name, const Sizes& s) {
-  if (name == "hold") return ScenarioHold<K>(s);
-  if (name == "delay1000") return ScenarioDelay<K>(s);
-  if (name == "resource1000") return ScenarioResource<K>(s);
-  if (name == "channel1000") return ScenarioChannel<K>(s);
-  if (name == "nested1000") return ScenarioNested<K>(s);
-  if (name == "timers1000") return ScenarioTimers<K>(s);
-  DIMSUM_CHECK(false) << "unknown scenario " << name;
-  return {};
-}
+struct Scenario {
+  const char* name;
+  ScenarioResult (*run)(const Sizes&);
+};
+
+constexpr Scenario kScenarios[] = {
+    {"hold", ScenarioHold},
+    {"delay1000", ScenarioDelay},
+    {"resource1000", ScenarioResource},
+    {"channel1000", ScenarioChannel},
+    {"nested1000", ScenarioNested},
+    {"timers1000", ScenarioTimers},
+};
 
 struct Record {
-  std::string scenario;
-  std::string kernel;
+  const char* scenario;
   ScenarioResult result;
   double events_per_sec = 0.0;
-  double speedup_vs_legacy = 1.0;
 };
 
 void WriteJson(const char* path, const dimsum::bench::BenchMeta& meta,
@@ -742,15 +311,12 @@ void WriteJson(const char* path, const dimsum::bench::BenchMeta& meta,
     const Record& r = records[i];
     std::fprintf(
         f,
-        "  {\"scenario\": \"%s\", \"kernel\": \"%s\", \"events\": %llu, "
-        "\"wall_ms\": %.3f, \"events_per_sec\": %.0f, "
-        "\"speedup_vs_legacy\": %.3f, \"peak_queue_depth\": %llu, "
-        "\"calendar_resizes\": %llu, \"frame_pool_hit_rate\": %.4f}%s\n",
-        r.scenario.c_str(), r.kernel.c_str(),
-        static_cast<unsigned long long>(r.result.events), r.result.wall_ms,
-        r.events_per_sec, r.speedup_vs_legacy,
+        "  {\"scenario\": \"%s\", \"events\": %llu, \"wall_ms\": %.3f, "
+        "\"events_per_sec\": %.0f, \"peak_queue_depth\": %llu, "
+        "\"frame_pool_hit_rate\": %.4f}%s\n",
+        r.scenario, static_cast<unsigned long long>(r.result.events),
+        r.result.wall_ms, r.events_per_sec,
         static_cast<unsigned long long>(r.result.peak_queue_depth),
-        static_cast<unsigned long long>(r.result.calendar_resizes),
         r.result.frame_pool_hit_rate, i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]}\n");
@@ -779,70 +345,33 @@ int main(int argc, char** argv) {
   }
   const Sizes& sizes = smoke ? kSmoke : kFull;
 
-  const std::vector<std::string> scenarios = {
-      "hold",      "delay1000", "resource1000",
-      "channel1000", "nested1000", "timers1000"};
-
-  std::printf("# micro_simkernel%s: best of %d rep(s) per kernel\n",
+  std::printf("# micro_simkernel%s: best of %d rep(s)\n",
               smoke ? " (smoke)" : "", reps);
-  std::printf("%-13s %-9s %12s %10s %14s %9s\n", "scenario", "kernel",
-              "events", "wall_ms", "events/sec", "speedup");
+  std::printf("%-13s %12s %10s %14s %10s\n", "scenario", "events", "wall_ms",
+              "events/sec", "peak_depth");
 
   std::vector<Record> records;
-  double speedup_product = 1.0;
-  int speedup_count = 0;
-  for (const std::string& name : scenarios) {
-    ScenarioResult best[3];
-    // Interleave kernels within each rep so machine-load noise hits all
-    // three alike; keep the fastest rep per kernel.
-    for (int rep = 0; rep < reps; ++rep) {
-      const ScenarioResult l = RunScenario<LegacyKernel>(name, sizes);
-      const ScenarioResult h = RunScenario<HeapKernel>(name, sizes);
-      const ScenarioResult c = RunScenario<CalendarKernel>(name, sizes);
-      DIMSUM_CHECK_EQ(l.events, h.events);
-      DIMSUM_CHECK_EQ(h.events, c.events);
-      const ScenarioResult reps3[3] = {l, h, c};
-      for (int k = 0; k < 3; ++k) {
-        if (rep == 0 || reps3[k].wall_ms < best[k].wall_ms) {
-          best[k] = reps3[k];
-        }
-      }
+  for (const Scenario& scenario : kScenarios) {
+    ScenarioResult best = scenario.run(sizes);
+    for (int rep = 1; rep < reps; ++rep) {
+      const ScenarioResult r = scenario.run(sizes);
+      DIMSUM_CHECK_EQ(r.events, best.events);
+      if (r.wall_ms < best.wall_ms) best = r;
     }
-    const char* kernel_names[3] = {"legacy", "heap", "calendar"};
-    const double legacy_eps =
-        static_cast<double>(best[0].events) / (best[0].wall_ms / 1000.0);
-    for (int k = 0; k < 3; ++k) {
-      Record record;
-      record.scenario = name;
-      record.kernel = kernel_names[k];
-      record.result = best[k];
-      record.events_per_sec =
-          static_cast<double>(best[k].events) / (best[k].wall_ms / 1000.0);
-      record.speedup_vs_legacy = record.events_per_sec / legacy_eps;
-      std::printf("%-13s %-9s %12llu %10.2f %14.0f %8.2fx\n", name.c_str(),
-                  record.kernel.c_str(),
-                  static_cast<unsigned long long>(record.result.events),
-                  record.result.wall_ms, record.events_per_sec,
-                  record.speedup_vs_legacy);
-      if (k == 2) {
-        speedup_product *= record.speedup_vs_legacy;
-        ++speedup_count;
-      }
-      records.push_back(std::move(record));
-    }
+    Record record{scenario.name, best,
+                  static_cast<double>(best.events) / (best.wall_ms / 1000.0)};
+    std::printf("%-13s %12llu %10.2f %14.0f %10llu\n", record.scenario,
+                static_cast<unsigned long long>(best.events), best.wall_ms,
+                record.events_per_sec,
+                static_cast<unsigned long long>(best.peak_queue_depth));
+    records.push_back(record);
   }
-  const double geomean =
-      speedup_count > 0
-          ? std::exp(std::log(speedup_product) / speedup_count)
-          : 1.0;
-  std::printf("# calendar vs legacy geomean speedup: %.2fx\n", geomean);
-  WriteJson(out,
-            dimsum::bench::MakeBenchMeta(
-                "dimsum.bench.kernel.v1",
-                std::string("3-kernel scenario matrix, ") +
-                    (smoke ? "smoke" : "full") + ", reps=" +
-                    std::to_string(reps)),
-            records);
+  dimsum::bench::BenchMeta meta = dimsum::bench::MakeBenchMeta(
+      "dimsum.bench.kernel.v2", std::string("6-scenario matrix, ") +
+                                    (smoke ? "smoke" : "full") +
+                                    ", reps=" + std::to_string(reps));
+  meta.schema_version = 2;
+  WriteJson(out, meta, records);
   std::printf("# wrote %s\n", out);
   return 0;
 }

@@ -214,8 +214,8 @@ void ExecSession::Run() {
 }
 
 /// Folds this session's DES-kernel counters into the global registry:
-/// events processed, event-queue high-water mark, calendar rebuilds, and
-/// the coroutine-frame pool's hit/miss deltas since the session was built
+/// events processed, event-queue high-water mark, and the
+/// coroutine-frame pool's hit/miss deltas since the session was built
 /// (the pool is thread-local and the session runs on one thread, so the
 /// delta is exactly this session's traffic).
 void ExecSession::FoldKernelMetrics() {
@@ -223,8 +223,6 @@ void ExecSession::FoldKernelMetrics() {
   if (!registry.enabled()) return;
   registry.counter("kernel.processed_events")
       .Add(static_cast<int64_t>(sim_.processed_events()));
-  registry.counter("kernel.calendar_resizes")
-      .Add(static_cast<int64_t>(sim_.calendar_resizes()));
   Gauge& peak = registry.gauge("kernel.peak_event_queue_depth");
   if (static_cast<double>(sim_.peak_queue_depth()) > peak.value()) {
     peak.Set(static_cast<double>(sim_.peak_queue_depth()));

@@ -14,18 +14,14 @@ namespace dimsum::sim {
 
 /// One scheduled kernel event: a coroutine resumption or a callback. The
 /// (time, seq) pair is a strict total order -- seq is unique per
-/// simulator -- so every queue implementation pops in exactly the same
-/// deterministic order.
+/// simulator -- so the event queue pops in one deterministic order.
 ///
-/// The legacy kernel stored a heap-allocated std::function per callback
-/// and paid a binary-heap sift over the resulting 56-byte entries. Here
-/// an event is one cache line and trivially copyable: queue maintenance
-/// (bucket inserts, heap sifts) lowers to memmove, and callbacks live in
-/// a small inline buffer. Trivially copyable callables up to
-/// kInlineBytes (the kernel's own completion lambdas capture just `this`
-/// or a handle) are stored in the event itself; larger or non-trivial
-/// callables go to one FramePool freelist block -- still never a global
-/// allocation on the hot path.
+/// An event is 56 bytes and trivially copyable: heap sifts move it with
+/// plain copies, and callbacks live in a small inline buffer. Trivially
+/// copyable callables up to kInlineBytes (the kernel's own completion
+/// lambdas capture just `this` or a handle) are stored in the event
+/// itself; larger or non-trivial callables go to one FramePool freelist
+/// block -- still never a global allocation on the hot path.
 ///
 /// Because events are trivially copyable they carry no destructor; the
 /// owning queue calls DestroyPending() on events discarded unexecuted
@@ -33,15 +29,11 @@ namespace dimsum::sim {
 /// any out-of-line state itself.
 struct Event {
   /// Inline callback capacity. Sized so every kernel-internal callback
-  /// ([this] or [this, handle] captures) stays inline while the whole
-  /// event spans exactly one cache line.
+  /// ([this] or [this, handle] captures) stays inline.
   static constexpr std::size_t kInlineBytes = 32;
 
   double time = 0.0;
   uint64_t seq = 0;
-  /// floor(time / width) under the calendar queue's current bucket width;
-  /// maintained by CalendarQueue, unused by HeapQueue.
-  uint64_t vbucket = 0;
   /// Null for coroutine events (Dispatch resumes `target`); otherwise the
   /// trampoline invoking the inline or out-of-line callable.
   void (*invoke)(Event&) = nullptr;
@@ -141,7 +133,7 @@ struct Event {
 };
 
 static_assert(std::is_trivially_copyable_v<Event>);
-static_assert(sizeof(Event) == 64, "one event per cache line");
+static_assert(sizeof(Event) == 56, "time, seq, invoke and the inline buffer");
 
 inline bool EarlierThan(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;

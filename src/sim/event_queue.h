@@ -2,23 +2,25 @@
 #define DIMSUM_SIM_EVENT_QUEUE_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "sim/event.h"
 
 namespace dimsum::sim {
 
-/// Binary min-heap over (time, seq) -- the legacy event queue, kept as a
-/// differential-testing oracle and selectable via DIMSUM_EVENT_QUEUE=heap.
-class HeapQueue {
+/// The simulator's event list: a binary min-heap over (time, seq). Seq is
+/// unique per simulator, so the pop order is a strict total order and
+/// every run is deterministic.
+///
+/// The sifts are hand-written rather than std::push_heap/std::pop_heap:
+/// they hold the moving event in a local and copy each displaced parent or
+/// child once. The std:: version measured slower end to end (DESIGN.md §7).
+class EventQueue {
  public:
-  HeapQueue() = default;
-  HeapQueue(const HeapQueue&) = delete;
-  HeapQueue& operator=(const HeapQueue&) = delete;
-  ~HeapQueue() {
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  ~EventQueue() {
     for (Event& ev : heap_) ev.DestroyPending();
   }
 
@@ -30,8 +32,12 @@ class HeapQueue {
     SiftUp(heap_.size() - 1);
   }
 
-  const Event& Peek() const { return heap_.front(); }
+  /// Time of the earliest event; requires !empty().
+  double PeekTime() const { return heap_.front().time; }
 
+  /// Removes and returns the earliest event by (time, seq); requires
+  /// !empty(). The caller owns the event: either Dispatch() it or
+  /// release it with DestroyPending().
   Event Pop() {
     Event top = heap_.front();
     heap_.front() = heap_.back();
@@ -75,211 +81,6 @@ class HeapQueue {
   }
 
   std::vector<Event> heap_;
-};
-
-/// Calendar queue (Brown 1988): a power-of-two array of buckets, each
-/// covering `width` ms of virtual time; bucket index is
-/// floor(time/width) mod nbuckets, so one sweep of the array spans a
-/// "year" of nbuckets*width ms. With the width tuned to ~2 events per
-/// bucket, Push and Pop are O(1) amortized instead of the heap's
-/// O(log n) sift.
-///
-/// Buckets hold events in ascending (time, seq) order behind a consumed
-/// head index: DES insertions are strongly biased toward later
-/// (time, seq) than existing bucket content -- same-instant events arrive
-/// in seq order -- so the common insert is an O(1) append and the common
-/// pop an O(1) head advance, even for bursts of simultaneous events.
-///
-/// Pop order is exactly (time, seq): equal times always map to the same
-/// bucket, and the year filter compares the event's own virtual-bucket
-/// number (not an accumulated float bound) so no rounding drift can
-/// reorder events near bucket edges. When a full year sweep finds
-/// nothing (sparse far-future tail), a direct search locates the global
-/// minimum by (time, seq). The cursor rewinds on out-of-order pushes, so
-/// correctness does not depend on the simulator's monotone-time contract.
-class CalendarQueue {
- public:
-  CalendarQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1) {}
-  CalendarQueue(const CalendarQueue&) = delete;
-  CalendarQueue& operator=(const CalendarQueue&) = delete;
-  ~CalendarQueue() {
-    for (Bucket& bucket : buckets_) {
-      for (std::size_t i = bucket.head; i < bucket.events.size(); ++i) {
-        bucket.events[i].DestroyPending();
-      }
-    }
-  }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  std::size_t num_buckets() const { return buckets_.size(); }
-  /// Bucket-array rebuilds (grow or shrink) so far.
-  uint64_t resizes() const { return resizes_; }
-
-  void Push(Event ev) {
-    ev.vbucket = VirtualBucket(ev.time);
-    if (ev.vbucket < cursor_) {
-      // Out-of-order push (earlier than the scan cursor): rewind so the
-      // next sweep starts early enough to see it.
-      cursor_ = ev.vbucket;
-      have_head_ = false;
-    } else if (have_head_ && EarlierThan(ev, buckets_[head_bucket_].Min())) {
-      have_head_ = false;
-    }
-    buckets_[ev.vbucket & mask_].Insert(ev);
-    ++size_;
-    ++pushes_since_resize_;
-    if (size_ > 2 * buckets_.size()) {
-      Resize(buckets_.size() * 2);
-    } else if (pushes_since_resize_ >= size_ &&
-               buckets_[ev.vbucket & mask_].Size() > kRetuneOccupancy) {
-      // Width retune. Size-triggered resizes never fire while the pending
-      // population plateaus, so the width can go stale -- the classic
-      // failure is seeding a simulation by pushing the whole population at
-      // one instant (span 0, so the width falls back to its default),
-      // after which every steady-state bucket holds dozens of events and
-      // sorted insertion degrades to O(bucket). An over-full bucket after
-      // a full population turnover of pushes signals staleness; rebuilding
-      // at the same bucket count recomputes the width from the current
-      // span. The turnover gate keeps genuinely-simultaneous bursts (span
-      // really is 0) at amortized O(1) per push.
-      Resize(buckets_.size());
-    }
-  }
-
-  const Event& Peek() {
-    EnsureHead();
-    return buckets_[head_bucket_].Min();
-  }
-
-  Event Pop() {
-    EnsureHead();
-    Bucket& bucket = buckets_[head_bucket_];
-    Event ev = bucket.PopMin();
-    --size_;
-    // The next event in this bucket often shares the virtual bucket,
-    // keeping the head memoized for runs of nearby events.
-    have_head_ = !bucket.Empty() && bucket.Min().vbucket == cursor_;
-    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-      Resize(buckets_.size() / 2);
-    }
-    return ev;
-  }
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-  /// Live events in one bucket (8x the ~2 the width aims for) that, after
-  /// a full population turnover of pushes, trigger a width retune.
-  static constexpr std::size_t kRetuneOccupancy = 16;
-
-  /// Ascending (time, seq) events from index `head` on; the consumed
-  /// prefix is compacted away once it outweighs the live tail.
-  struct Bucket {
-    std::vector<Event> events;
-    std::size_t head = 0;
-
-    bool Empty() const { return head == events.size(); }
-    std::size_t Size() const { return events.size() - head; }
-    const Event& Min() const { return events[head]; }
-
-    void Insert(const Event& ev) {
-      std::size_t i = events.size();
-      while (i > head && EarlierThan(ev, events[i - 1])) --i;
-      if (i == events.size()) {
-        events.push_back(ev);  // the common, append-at-end case
-      } else {
-        events.insert(events.begin() + i, ev);
-      }
-    }
-
-    Event PopMin() {
-      Event ev = events[head++];
-      if (head == events.size()) {
-        events.clear();
-        head = 0;
-      } else if (head >= 64 && head * 2 >= events.size()) {
-        events.erase(events.begin(), events.begin() + head);
-        head = 0;
-      }
-      return ev;
-    }
-  };
-
-  /// Multiplies by the cached reciprocal rather than dividing; the exact
-  /// bucket boundaries differ negligibly from floor(time/width) but the
-  /// mapping is monotone in time and used consistently everywhere, which
-  /// is all correctness needs.
-  uint64_t VirtualBucket(double time) const {
-    return static_cast<uint64_t>(time * inv_width_);
-  }
-
-  void EnsureHead();
-  void Resize(std::size_t new_buckets);
-
-  std::vector<Bucket> buckets_;
-  std::size_t mask_;
-  double width_ = 1.0;
-  double inv_width_ = 1.0;
-  /// Scan cursor: the virtual bucket the next sweep starts from.
-  uint64_t cursor_ = 0;
-  std::size_t size_ = 0;
-  /// Pushes since the last rebuild; gates the width-retune heuristic.
-  std::size_t pushes_since_resize_ = 0;
-  bool have_head_ = false;
-  std::size_t head_bucket_ = 0;
-  uint64_t resizes_ = 0;
-};
-
-enum class EventQueueKind { kCalendar, kHeap };
-
-/// Queue selected by the DIMSUM_EVENT_QUEUE environment variable
-/// ("calendar" is the default; "heap" keeps the legacy binary heap).
-/// Both pop in the identical (time, seq) order, so results are
-/// bit-identical across kinds (differential-tested).
-EventQueueKind DefaultEventQueueKind();
-
-/// The simulator's event queue: a calendar queue or the legacy heap
-/// behind one predictable branch per operation.
-class EventQueue {
- public:
-  explicit EventQueue(EventQueueKind kind) : kind_(kind) {}
-
-  EventQueueKind kind() const { return kind_; }
-  bool empty() const {
-    return kind_ == EventQueueKind::kCalendar ? calendar_.empty()
-                                              : heap_.empty();
-  }
-  std::size_t size() const {
-    return kind_ == EventQueueKind::kCalendar ? calendar_.size()
-                                              : heap_.size();
-  }
-  uint64_t resizes() const { return calendar_.resizes(); }
-
-  void Push(Event ev) {
-    if (kind_ == EventQueueKind::kCalendar) {
-      calendar_.Push(ev);
-    } else {
-      heap_.Push(ev);
-    }
-  }
-
-  /// Time of the earliest event; requires !empty().
-  double PeekTime() {
-    return kind_ == EventQueueKind::kCalendar ? calendar_.Peek().time
-                                              : heap_.Peek().time;
-  }
-
-  /// Removes and returns the earliest event by (time, seq); requires
-  /// !empty(). The caller owns the event: either Dispatch() it or
-  /// release it with DestroyPending().
-  Event Pop() {
-    return kind_ == EventQueueKind::kCalendar ? calendar_.Pop() : heap_.Pop();
-  }
-
- private:
-  EventQueueKind kind_;
-  CalendarQueue calendar_;
-  HeapQueue heap_;
 };
 
 }  // namespace dimsum::sim

@@ -17,16 +17,13 @@ class TraceSink;
 
 /// Discrete-event simulation kernel.
 ///
-/// Keeps a virtual clock (milliseconds) and a calendar queue of events
-/// (see sim/event_queue.h; DIMSUM_EVENT_QUEUE=heap selects the legacy
-/// binary heap, which pops in the identical order). Events are either
-/// coroutine resumptions or plain callbacks, stored inline without heap
-/// allocation (sim/inline_fn.h). Ties are broken by insertion order, so
-/// runs are fully deterministic and bit-identical across queue kinds.
+/// Keeps a virtual clock (milliseconds) and a binary heap of events (see
+/// sim/event_queue.h). Events are either coroutine resumptions or plain
+/// callbacks, stored inline without heap allocation (sim/event.h). Ties
+/// are broken by insertion order, so runs are fully deterministic.
 class Simulator {
  public:
-  Simulator() : queue_(DefaultEventQueueKind()) {}
-  explicit Simulator(EventQueueKind kind) : queue_(kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -101,10 +98,6 @@ class Simulator {
   std::size_t queue_depth() const { return queue_.size(); }
   /// High-water mark of pending events over the run.
   std::size_t peak_queue_depth() const { return peak_depth_; }
-  /// Calendar-queue bucket-array rebuilds (0 under the heap).
-  uint64_t calendar_resizes() const { return queue_.resizes(); }
-  /// Which queue implementation this simulator runs on.
-  EventQueueKind event_queue_kind() const { return queue_.kind(); }
 
   /// Optional trace sink (see sim/trace.h), not owned. Instrumented
   /// components test `trace()` for null before recording, so a simulator

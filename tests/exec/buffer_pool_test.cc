@@ -74,28 +74,28 @@ TEST(BufferPoolTest, FifoAdmissionUnderContention) {
   EXPECT_EQ(pool.free_frames(), 100);
 }
 
-TEST(BufferPoolDeathTest, OversizedRequestFails) {
+/// Runs one acquire of `frames` on a 100-frame pool. Death tests call it
+/// inside the death statement, so the process is spawned and run in the
+/// child: spawned in the parent, it would never start there and its frame
+/// would leak.
+void RunOneAcquire(int64_t frames) {
   sim::Simulator sim;
   BufferPool pool(sim, 100);
   std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, 101, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "exceeds physical memory");
+  sim.Spawn(AcquireHoldRelease(sim, pool, frames, 1.0, &acquired));
+  sim.Run();
+}
+
+TEST(BufferPoolDeathTest, OversizedRequestFails) {
+  EXPECT_DEATH(RunOneAcquire(101), "exceeds physical memory");
 }
 
 TEST(BufferPoolDeathTest, ZeroAcquireFails) {
-  sim::Simulator sim;
-  BufferPool pool(sim, 100);
-  std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, 0, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "empty buffer acquisition");
+  EXPECT_DEATH(RunOneAcquire(0), "empty buffer acquisition");
 }
 
 TEST(BufferPoolDeathTest, NegativeAcquireFails) {
-  sim::Simulator sim;
-  BufferPool pool(sim, 100);
-  std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, -5, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "empty buffer acquisition");
+  EXPECT_DEATH(RunOneAcquire(-5), "empty buffer acquisition");
 }
 
 TEST(BufferPoolDeathTest, ZeroReleaseFails) {

@@ -109,11 +109,16 @@ TEST(SessionEdgeTest, SubmitBeyondExpectedDies) {
   config.num_servers = 1;
   Plan plan = QsJoin();
   BindSites(plan, catalog);
-  ExecSession session(catalog, config, /*seed=*/0);
-  session.ExpectQueries(1);
-  session.Submit(plan, query);
-  EXPECT_DEATH(session.Submit(plan, query),
-               "more queries submitted than declared");
+  // The session lives inside the death statement: a query submitted here
+  // would never run in this process and its operator frames would leak.
+  EXPECT_DEATH(
+      {
+        ExecSession session(catalog, config, /*seed=*/0);
+        session.ExpectQueries(1);
+        session.Submit(plan, query);
+        session.Submit(plan, query);
+      },
+      "more queries submitted than declared");
 }
 
 }  // namespace

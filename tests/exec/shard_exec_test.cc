@@ -1,4 +1,3 @@
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -160,25 +159,6 @@ TEST(ShardExecTest, ShardedRunsDeterministicAcrossHostThreads) {
   SetGlobalThreadCount(4);
   const DriverResult b = RunClosedLoop(w.clients, w.catalog, w.config, driver);
   SetGlobalThreadCount(original_threads);
-  ExpectBitIdentical(a, b);
-}
-
-TEST(ShardExecTest, ShardedRunsDeterministicAcrossEventQueueKinds) {
-  Workload w = ScanWorkload(4, /*servers=*/2, ShardScheme::kRange, 0.0, 1.0);
-  DriverConfig driver = SerialDriver();
-  driver.think_time_mean_ms = 50.0;
-
-  const char* saved = std::getenv("DIMSUM_EVENT_QUEUE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("DIMSUM_EVENT_QUEUE", "calendar", 1);
-  const DriverResult a = RunClosedLoop(w.clients, w.catalog, w.config, driver);
-  setenv("DIMSUM_EVENT_QUEUE", "heap", 1);
-  const DriverResult b = RunClosedLoop(w.clients, w.catalog, w.config, driver);
-  if (saved != nullptr) {
-    setenv("DIMSUM_EVENT_QUEUE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("DIMSUM_EVENT_QUEUE");
-  }
   ExpectBitIdentical(a, b);
 }
 

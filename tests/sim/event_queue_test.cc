@@ -1,9 +1,7 @@
 #include "sim/event_queue.h"
 
-#include <cstdlib>
-#include <string>
+#include <set>
 #include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,8 +23,8 @@ std::pair<double, uint64_t> Key(const Event& ev) {
   return {ev.time, ev.seq};
 }
 
-TEST(CalendarQueueTest, PopsInTimeThenSeqOrder) {
-  CalendarQueue queue;
+TEST(EventQueueTest, PopsInTimeThenSeqOrder) {
+  EventQueue queue;
   queue.Push(MakeEvent(5.0, 0));
   queue.Push(MakeEvent(1.0, 1));
   queue.Push(MakeEvent(5.0, 2));
@@ -39,11 +37,21 @@ TEST(CalendarQueueTest, PopsInTimeThenSeqOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarQueueTest, CursorRewindsOnEarlierPush) {
-  // After popping at t=10 the scan cursor sits at t=10's bucket; a later
-  // push at t=1 must still pop first (the simulator's monotone-time
-  // contract is not assumed by the queue).
-  CalendarQueue queue;
+TEST(EventQueueTest, EqualTimeBurstPopsInSeqOrder) {
+  // Thousands of same-instant events (a broadcast fan-out) must pop in
+  // insertion order.
+  EventQueue queue;
+  for (uint64_t s = 0; s < 5000; ++s) queue.Push(MakeEvent(7.5, s));
+  for (uint64_t s = 0; s < 5000; ++s) {
+    ASSERT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{7.5, s}));
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueTest, PushEarlierThanLastPopPopsFirst) {
+  // The queue does not assume the simulator's monotone-time contract: a
+  // push earlier than the last pop is still the next event out.
+  EventQueue queue;
   queue.Push(MakeEvent(10.0, 0));
   queue.Push(MakeEvent(20.0, 1));
   EXPECT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{10.0, 0}));
@@ -52,73 +60,23 @@ TEST(CalendarQueueTest, CursorRewindsOnEarlierPush) {
   EXPECT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{20.0, 1}));
 }
 
-TEST(CalendarQueueTest, SparseFarFutureTailFindsGlobalMinimum) {
-  // Events more than a "year" apart force the direct-search fallback.
-  CalendarQueue queue;
-  queue.Push(MakeEvent(0.0, 0));
-  queue.Push(MakeEvent(1e9, 1));
-  queue.Push(MakeEvent(2e9, 2));
-  EXPECT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{0.0, 0}));
-  EXPECT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{1e9, 1}));
-  EXPECT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{2e9, 2}));
-}
-
-TEST(CalendarQueueTest, EqualTimeBurstPopsInSeqOrder) {
-  // Thousands of same-instant events (a broadcast fan-out) must pop in
-  // insertion order, growing the bucket array along the way.
-  CalendarQueue queue;
-  for (uint64_t s = 0; s < 5000; ++s) queue.Push(MakeEvent(7.5, s));
-  EXPECT_GT(queue.resizes(), 0u);
-  for (uint64_t s = 0; s < 5000; ++s) {
-    ASSERT_EQ(Key(queue.Pop()), (std::pair<double, uint64_t>{7.5, s}));
-  }
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarQueueTest, SameInstantSeedingRetunesWidth) {
-  // Seeding the whole population at one instant freezes the width at its
-  // degenerate default (span 0). Steady-state churn afterwards must
-  // trigger the occupancy-based retune rather than degrade every bucket
-  // insert to a linear scan; observable here as additional rebuilds
-  // after the seeding phase while order stays exact.
-  CalendarQueue queue;
-  uint64_t seq = 0;
-  for (int i = 0; i < 2000; ++i) queue.Push(MakeEvent(0.0, seq++));
-  const uint64_t resizes_after_seed = queue.resizes();
-  Rng rng(123);
-  double now = 0.0;
-  double last_time = -1.0;
-  uint64_t last_seq = 0;
-  for (int round = 0; round < 20000; ++round) {
-    const Event ev = queue.Pop();
-    ASSERT_TRUE(ev.time > last_time ||
-                (ev.time == last_time && ev.seq > last_seq));
-    last_time = ev.time;
-    last_seq = ev.seq;
-    now = ev.time;
-    queue.Push(MakeEvent(now + rng.Exponential(10.0), seq++));
-  }
-  EXPECT_GT(queue.resizes(), resizes_after_seed);
-}
-
 TEST(EventQueueDifferentialTest, RandomizedWorkloadsPopIdentically) {
-  // Property test: under a randomized mix of pushes (clustered, bursty,
-  // far-future, and cursor-rewinding times) and pops, the calendar queue
-  // and the heap pop the exact same (time, seq) sequence.
+  // Property test: under a randomized mix of pushes (clustered,
+  // same-instant, sparse tail, far future and earlier than now) and pops,
+  // the queue pops exactly what a sorted (time, seq) reference holds
+  // first.
   Rng rng(20260808);
   for (int trial = 0; trial < 20; ++trial) {
-    EventQueue calendar(EventQueueKind::kCalendar);
-    EventQueue heap(EventQueueKind::kHeap);
+    EventQueue queue;
+    std::set<std::pair<double, uint64_t>> reference;
     uint64_t seq = 0;
     double now = 0.0;  // floor for new pushes, mimicking simulator time
-    const int ops = 4000;
-    for (int op = 0; op < ops; ++op) {
-      const bool push = calendar.empty() || rng.NextDouble() < 0.55;
-      if (push) {
+    for (int op = 0; op < 4000; ++op) {
+      if (queue.empty() || rng.NextDouble() < 0.55) {
         double time = now;
         const double shape = rng.NextDouble();
         if (shape < 0.3) {
-          time = now + rng.Exponential(5.0);  // clustered near the cursor
+          time = now + rng.Exponential(5.0);  // clustered near now
         } else if (shape < 0.6) {
           time = now;  // same-instant burst
         } else if (shape < 0.8) {
@@ -126,72 +84,25 @@ TEST(EventQueueDifferentialTest, RandomizedWorkloadsPopIdentically) {
         } else if (shape < 0.9) {
           time = now + rng.NextDouble() * 1e7;  // far future
         } else {
-          time = now * rng.NextDouble();  // earlier than the cursor
+          time = now * rng.NextDouble();  // earlier than now
         }
         const Event ev = MakeEvent(time, seq++);
-        calendar.Push(ev);
-        heap.Push(ev);
+        queue.Push(ev);
+        reference.insert(Key(ev));
       } else {
-        ASSERT_EQ(calendar.PeekTime(), heap.PeekTime());
-        const Event a = calendar.Pop();
-        const Event b = heap.Pop();
-        ASSERT_EQ(Key(a), Key(b)) << "trial " << trial << " op " << op;
-        if (a.time > now) now = a.time;
+        const std::pair<double, uint64_t> first = *reference.begin();
+        reference.erase(reference.begin());
+        ASSERT_EQ(queue.PeekTime(), first.first);
+        const Event ev = queue.Pop();
+        ASSERT_EQ(Key(ev), first) << "trial " << trial << " op " << op;
+        if (ev.time > now) now = ev.time;
       }
-      ASSERT_EQ(calendar.size(), heap.size());
+      ASSERT_EQ(queue.size(), reference.size());
     }
-    while (!calendar.empty()) {
-      ASSERT_EQ(Key(calendar.Pop()), Key(heap.Pop()));
+    for (const std::pair<double, uint64_t>& key : reference) {
+      ASSERT_EQ(Key(queue.Pop()), key);
     }
-    EXPECT_TRUE(heap.empty());
-  }
-}
-
-TEST(EventQueueDifferentialTest, GrowShrinkCyclePreservesOrder) {
-  // Drive the population up past several grows, then drain through the
-  // shrink path, comparing against the heap throughout.
-  Rng rng(99);
-  EventQueue calendar(EventQueueKind::kCalendar);
-  EventQueue heap(EventQueueKind::kHeap);
-  uint64_t seq = 0;
-  for (int i = 0; i < 3000; ++i) {
-    const Event ev = MakeEvent(rng.NextDouble() * 100.0, seq++);
-    calendar.Push(ev);
-    heap.Push(ev);
-  }
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_EQ(Key(calendar.Pop()), Key(heap.Pop()));
-  }
-  EXPECT_TRUE(calendar.empty());
-}
-
-TEST(DefaultEventQueueKindTest, ParsesEnvironment) {
-  const char* saved = std::getenv("DIMSUM_EVENT_QUEUE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-
-  unsetenv("DIMSUM_EVENT_QUEUE");
-  EXPECT_EQ(DefaultEventQueueKind(), EventQueueKind::kCalendar);
-  setenv("DIMSUM_EVENT_QUEUE", "calendar", 1);
-  EXPECT_EQ(DefaultEventQueueKind(), EventQueueKind::kCalendar);
-  setenv("DIMSUM_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(DefaultEventQueueKind(), EventQueueKind::kHeap);
-
-  if (saved != nullptr) {
-    setenv("DIMSUM_EVENT_QUEUE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("DIMSUM_EVENT_QUEUE");
-  }
-}
-
-TEST(DefaultEventQueueKindTest, RejectsUnknownValue) {
-  const char* saved = std::getenv("DIMSUM_EVENT_QUEUE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("DIMSUM_EVENT_QUEUE", "bogus", 1);
-  EXPECT_DEATH(DefaultEventQueueKind(), "DIMSUM_EVENT_QUEUE");
-  if (saved != nullptr) {
-    setenv("DIMSUM_EVENT_QUEUE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("DIMSUM_EVENT_QUEUE");
+    EXPECT_TRUE(queue.empty());
   }
 }
 

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -93,45 +92,30 @@ TEST(OpenLoopTest, LowLoadThroughputTracksArrivalRate) {
   EXPECT_GT(r.peak_event_queue_depth, 0u);
 }
 
-TEST(OpenLoopTest, DeterministicAcrossRunsAndQueueKinds) {
-  // Same seed, same config: bit-identical results -- including across
-  // DIMSUM_EVENT_QUEUE=calendar/heap, the end-to-end differential check
-  // that both event queues order the whole execution identically.
+TEST(OpenLoopTest, DeterministicAcrossRuns) {
+  // Same seed, same config: bit-identical results.
   Workload w = ScanWorkload(3, /*cached=*/true);
   const OpenLoopConfig openloop = PoissonConfig(25.0, 3'000.0);
+  const OpenLoopResult a =
+      RunOpenLoop(w.clients, w.catalog, w.config, openloop);
+  const OpenLoopResult b =
+      RunOpenLoop(w.clients, w.catalog, w.config, openloop);
 
-  const char* saved = std::getenv("DIMSUM_EVENT_QUEUE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("DIMSUM_EVENT_QUEUE", "calendar", 1);
-  OpenLoopResult a = RunOpenLoop(w.clients, w.catalog, w.config, openloop);
-  OpenLoopResult b = RunOpenLoop(w.clients, w.catalog, w.config, openloop);
-  setenv("DIMSUM_EVENT_QUEUE", "heap", 1);
-  OpenLoopResult c = RunOpenLoop(w.clients, w.catalog, w.config, openloop);
-  if (saved != nullptr) {
-    setenv("DIMSUM_EVENT_QUEUE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("DIMSUM_EVENT_QUEUE");
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // bitwise, not NEAR
+  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
+  ASSERT_EQ(a.completions.size(), b.completions.size());
+  for (std::size_t i = 0; i < a.completions.size(); ++i) {
+    EXPECT_EQ(a.completions[i].ticket, b.completions[i].ticket);
+    EXPECT_EQ(a.completions[i].arrival_ms, b.completions[i].arrival_ms);
+    EXPECT_EQ(a.completions[i].complete_ms, b.completions[i].complete_ms);
   }
-
-  for (const OpenLoopResult* other : {&b, &c}) {
-    EXPECT_EQ(a.arrivals, other->arrivals);
-    EXPECT_EQ(a.completed, other->completed);
-    EXPECT_EQ(a.makespan_ms, other->makespan_ms);  // bitwise, not NEAR
-    EXPECT_EQ(a.mean_response_ms, other->mean_response_ms);
-    ASSERT_EQ(a.completions.size(), other->completions.size());
-    for (std::size_t i = 0; i < a.completions.size(); ++i) {
-      EXPECT_EQ(a.completions[i].ticket, other->completions[i].ticket);
-      EXPECT_EQ(a.completions[i].arrival_ms, other->completions[i].arrival_ms);
-      EXPECT_EQ(a.completions[i].complete_ms,
-                other->completions[i].complete_ms);
-    }
-    for (std::size_t i = 0; i < a.per_query.size(); ++i) {
-      EXPECT_EQ(a.per_query[i].response_ms, other->per_query[i].response_ms);
-    }
+  for (std::size_t i = 0; i < a.per_query.size(); ++i) {
+    EXPECT_EQ(a.per_query[i].response_ms, b.per_query[i].response_ms);
   }
-  // Both kinds processed the same events; only queue internals differ.
-  EXPECT_EQ(a.processed_events, c.processed_events);
-  EXPECT_EQ(a.peak_event_queue_depth, c.peak_event_queue_depth);
+  EXPECT_EQ(a.processed_events, b.processed_events);
+  EXPECT_EQ(a.peak_event_queue_depth, b.peak_event_queue_depth);
 }
 
 TEST(OpenLoopTest, AdmissionBoundsInFlightQueries) {

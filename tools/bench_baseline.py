@@ -9,7 +9,7 @@ baseline directory under its basename. Run this after an intentional
 performance change, from the same smoke configuration CI uses:
 
     cmake --build build -j
-    ./build/bench/micro_simkernel --smoke --reps=2 --out=BENCH_kernel.json
+    ./build/bench/micro_simkernel --smoke --reps=1 --out=BENCH_kernel.json
     ./build/bench/ext_openloop --smoke
     ...
     python3 tools/bench_baseline.py BENCH_*.json

@@ -49,10 +49,9 @@ SCHEMAS = {
         "sim_total_ms", "total_rel_err", "mean_op_rel_err",
         "max_op_rel_err",
     }),
-    "BENCH_kernel.json": ("dimsum.bench.kernel.v1", {
-        "scenario", "kernel", "events", "wall_ms", "events_per_sec",
-        "speedup_vs_legacy", "peak_queue_depth", "calendar_resizes",
-        "frame_pool_hit_rate",
+    "BENCH_kernel.json": ("dimsum.bench.kernel.v2", {
+        "scenario", "events", "wall_ms", "events_per_sec",
+        "peak_queue_depth", "frame_pool_hit_rate",
     }),
     "BENCH_openloop.json": ("dimsum.bench.openloop.v1", {
         "policy", "arrival", "rate_qps", "clients", "offered_qps",

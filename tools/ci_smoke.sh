@@ -11,12 +11,11 @@
 #   explain        EXPLAIN ANALYZE output + cost-model calibration gate
 #   multiclient    closed-loop multi-client driver smoke
 #   faults         fault-injection driver smoke
-#   kernel         DES kernel events/sec sweep + speedup summary
+#   kernel         DES kernel events/sec microbenchmark
 #   openloop       open-loop arrival driver smoke
 #   scaleout       replica scale-out sweep + monotonicity assert
 #   sharding       sharding-vs-replication acceptance + unsharded CLI diff
 #   taillat        tail-latency observatory sweep + attribution gate
-#   queue-diff     calendar-vs-heap event queue bitwise output diff
 #   check          validate every BENCH_*.json artifact structure
 #   perf           gate BENCH_*.json against committed baselines
 #
@@ -103,35 +102,10 @@ suite_faults() {
 }
 
 suite_kernel() {
+  # Events/sec against the committed baseline is reported by the perf
+  # suite (warn-only: shared runners are too noisy for a hard wall-clock
+  # threshold); the event counts gate there.
   ./bench/micro_simkernel --smoke --reps=1
-  # Report the calendar-vs-legacy events/sec ratio. Warn-only: the kernel
-  # speedup is tracked, not gated -- shared runners are too noisy for a
-  # hard wall-clock threshold.
-  python3 - <<'EOF' | summary
-import json, math
-records = json.load(open('BENCH_kernel.json'))['records']
-by = {}
-for r in records:
-    by.setdefault(r['scenario'], {})[r['kernel']] = r
-print('### DES kernel events/sec (calendar vs legacy)')
-print()
-print('| scenario | legacy ev/s | calendar ev/s | speedup |')
-print('|---|---|---|---|')
-ratios = []
-for scenario, kernels in by.items():
-    legacy = kernels['legacy']['events_per_sec']
-    cal = kernels['calendar']['events_per_sec']
-    ratios.append(cal / legacy)
-    print(f"| {scenario} | {legacy:,.0f} | {cal:,.0f} "
-          f"| {cal / legacy:.2f}x |")
-geomean = math.exp(sum(math.log(x) for x in ratios) / len(ratios))
-print()
-print(f'geomean speedup: **{geomean:.2f}x**')
-if geomean < 1.0:
-    print()
-    print(':warning: calendar kernel slower than the legacy '
-          'replica on this run (warn-only, not gating)')
-EOF
 }
 
 suite_openloop() {
@@ -191,28 +165,14 @@ suite_taillat() {
   python3 "$REPO_ROOT/tools/tail_report.py" --assert-share 0.8 \
     BENCH_taillat.querylog.jsonl | summary
   # Query-log capture must not perturb the run: CLI output is identical
-  # with and without --query-log (modulo the one status line), and the
-  # record itself is bitwise invariant under the event-queue kind.
+  # with and without --query-log (modulo the one status line).
   ./tools/dimsum_cli --policy=hy --metric=time --relations=6 --servers=3 \
     --cached=0.25 > cli.nolog.txt
   ./tools/dimsum_cli --policy=hy --metric=time --relations=6 --servers=3 \
-    --cached=0.25 --query-log=ql.calendar.jsonl > cli.log.txt
+    --cached=0.25 --query-log=ql.jsonl > cli.log.txt
   diff cli.nolog.txt \
     <(grep -v '^query log:' cli.log.txt | sed -e '${/^$/d}')
   echo "CLI output identical with and without --query-log"
-  DIMSUM_EVENT_QUEUE=heap ./tools/dimsum_cli --policy=hy --metric=time \
-    --relations=6 --servers=3 --cached=0.25 \
-    --query-log=ql.heap.jsonl > /dev/null
-  diff ql.calendar.jsonl ql.heap.jsonl
-  echo "query-log record bitwise identical across event-queue kinds"
-}
-
-suite_queue_diff() {
-  # The two event-queue implementations must order the entire simulation
-  # identically: Figure 8 output is compared bitwise.
-  DIMSUM_EVENT_QUEUE=calendar ./bench/fig08_resptime_10way > fig08.calendar.txt
-  DIMSUM_EVENT_QUEUE=heap ./bench/fig08_resptime_10way > fig08.heap.txt
-  diff fig08.calendar.txt fig08.heap.txt
 }
 
 suite_check() {
@@ -242,10 +202,10 @@ suite_perf() {
 }
 
 ALL_SUITES=(threads observability explain multiclient faults kernel
-            openloop scaleout sharding taillat queue-diff check perf)
+            openloop scaleout sharding taillat check perf)
 
 usage() {
-  sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 suites=()

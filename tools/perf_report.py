@@ -10,8 +10,8 @@ with a committed baseline of the same basename, records are joined on
 their identity keys and each gated metric's relative change is classified:
 
   - deterministic metrics (virtual-time figures: throughput_qps,
-    mean_response_ms, sim_response_ms) gate hard: |change| > 10% warns,
-    |change| > 25% fails the run (exit 1).
+    mean_response_ms, sim_response_ms; the kernel's event counts) gate
+    hard: |change| > 10% warns, |change| > 25% fails the run (exit 1).
   - wall-clock metrics (events_per_sec, plans_per_sec, wall_ms) only ever
     warn: CI machines are noisy, so they feed the trajectory report but
     never fail it.
@@ -36,8 +36,8 @@ FAIL_REL = 0.25
 # (wall-clock). Files absent here are reported but not gated.
 GATES = {
     "BENCH_kernel.json": {
-        "key": ("scenario", "kernel"),
-        "deterministic": [],
+        "key": ("scenario",),
+        "deterministic": ["events"],
         "wallclock": ["events_per_sec"],
     },
     "BENCH_openloop.json": {

@@ -10,7 +10,7 @@ Covers the query-log contract:
     byte-identical under --explain=json (the notice moves to stderr);
   * a bare --query-log (no path) is rejected with a diagnostic;
   * the DIMSUM_QUERY_LOG env var mirrors the flag ("" and "0" disable);
-  * the record is invariant under DIMSUM_THREADS and DIMSUM_EVENT_QUEUE.
+  * the record is invariant under DIMSUM_THREADS.
 
 Usage: test_cli_querylog.py <path-to-dimsum_cli>
 """
@@ -134,18 +134,14 @@ def main():
         expect(doc["schema"] == "dimsum.explain.v1",
                "explain=json: stdout is the explain document")
 
-        # Determinism: record invariant under threads and event queue.
+        # Determinism: record invariant under threads.
         one = os.path.join(tmp, "one.jsonl")
         many = os.path.join(tmp, "many.jsonl")
-        heap = os.path.join(tmp, "heap.jsonl")
         run(BASE + [f"--query-log={one}"], env={"DIMSUM_THREADS": "1"})
         run(BASE + [f"--query-log={many}"], env={"DIMSUM_THREADS": "4"})
-        run(BASE + [f"--query-log={heap}"],
-            env={"DIMSUM_EVENT_QUEUE": "heap"})
-        with open(one) as f1, open(many) as f2, open(heap) as f3:
-            a, b, c = f1.read(), f2.read(), f3.read()
+        with open(one) as f1, open(many) as f2:
+            a, b = f1.read(), f2.read()
         expect(a == b, "determinism: invariant under threads")
-        expect(a == c, "determinism: invariant under event queue kind")
 
     if failures:
         print(f"\n{len(failures)} check(s) failed: {failures}")
