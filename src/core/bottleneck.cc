@@ -176,8 +176,8 @@ void BottleneckAccumulator::Accumulate(Key key, double ms) {
 
 void BottleneckAccumulator::Add(const std::vector<SiteId>& op_sites,
                                 const ExecMetrics& metrics) {
-  // Misaligned actuals (e.g. the query ran a recovery re-planned tree, or
-  // actuals were not collected) cannot be attributed; skip the query.
+  // Actuals that were not collected, or that belong to a different plan,
+  // cannot be attributed; skip the query.
   if (metrics.operator_actuals.empty() ||
       metrics.operator_actuals.size() != op_sites.size()) {
     return;

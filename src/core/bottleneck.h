@@ -89,8 +89,8 @@ BottleneckReport BuildBottleneck(const std::vector<SiteId>& op_sites,
 
 /// Folds many queries of one shared run into a run-level report, splitting
 /// queueing vs service against the run's BatchTotals. Queries whose
-/// actuals are missing or misaligned with their op_sites (e.g. recovery
-/// re-planned them) are skipped.
+/// actuals are missing or do not align with their op_sites are skipped;
+/// callers pass the sites of the plan each query executed.
 class BottleneckAccumulator {
  public:
   void Add(const std::vector<SiteId>& op_sites, const ExecMetrics& metrics);

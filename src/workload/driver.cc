@@ -5,6 +5,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -34,41 +36,6 @@ const char* ToString(ReplicaPolicy policy) {
 
 namespace {
 
-/// Memoizes plan signature hashes and server fan-outs per submitted plan
-/// while building query-log records (plans repeat across tickets).
-class PlanLogCache {
- public:
-  PlanLogCache(const Catalog& catalog, int page_bytes)
-      : catalog_(catalog), page_bytes_(page_bytes) {}
-
-  uint64_t Signature(const Plan& plan) {
-    auto [it, inserted] = signatures_.try_emplace(&plan, 0);
-    if (inserted) it->second = HashPlanSignature(PlanSignature(plan));
-    return it->second;
-  }
-  const std::vector<SiteId>& Fanout(const Plan& plan) {
-    auto [it, inserted] = fanouts_.try_emplace(&plan);
-    if (inserted) it->second = BoundServerSites(plan, catalog_, page_bytes_);
-    return it->second;
-  }
-
- private:
-  const Catalog& catalog_;
-  const int page_bytes_;
-  std::map<const Plan*, uint64_t> signatures_;
-  std::map<const Plan*, std::vector<SiteId>> fanouts_;
-};
-
-/// Folds a query's per-operator elapsed totals into its record.
-void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
-  for (const OperatorActual& actual : metrics.operator_actuals) {
-    record.cpu_elapsed_ms += actual.cpu_ms;
-    record.disk_elapsed_ms += actual.disk_ms;
-    record.net_elapsed_ms += actual.net_ms;
-    record.stall_elapsed_ms += actual.stall_ms;
-  }
-}
-
 /// Submission-time replica selection shared by both drivers. Constructed
 /// only when a balancing policy is requested *and* the catalog holds
 /// multiple copies of something (whole-relation replicas or shard copies);
@@ -84,11 +51,9 @@ void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
 /// relation balances per shard, not per relation.
 class ReplicaBalancer {
  public:
-  ReplicaBalancer(const Catalog& catalog, ReplicaPolicy policy,
-                  int page_bytes, int num_sites)
+  ReplicaBalancer(const Catalog& catalog, ReplicaPolicy policy, int num_sites)
       : catalog_(catalog),
         policy_(policy),
-        page_bytes_(page_bytes),
         round_robin_(static_cast<std::size_t>(catalog.num_relations()), 0),
         outstanding_(static_cast<std::size_t>(num_sites), 0),
         ewma_ms_(static_cast<std::size_t>(num_sites), 0.0) {}
@@ -124,15 +89,18 @@ class ReplicaBalancer {
     return it->second.get();
   }
 
-  void OnSubmit(const Plan* plan) { Bump(plan, +1); }
+  /// Submission hook: the query is in flight at each of `sites`.
+  void OnSubmit(const std::vector<SiteId>& sites) {
+    for (const SiteId site : sites) {
+      ++outstanding_[static_cast<std::size_t>(site)];
+    }
+  }
 
   /// Completion hook: releases the in-flight counts and folds the
   /// query's response time into each touched server's EWMA estimate.
-  void OnComplete(const Plan* plan, double response_ms) {
-    Bump(plan, -1);
-    const auto it = plan_sites_.find(plan);
-    DIMSUM_CHECK(it != plan_sites_.end());
-    for (const SiteId site : it->second) {
+  void OnComplete(const std::vector<SiteId>& sites, double response_ms) {
+    for (const SiteId site : sites) {
+      --outstanding_[static_cast<std::size_t>(site)];
       double& est = ewma_ms_[static_cast<std::size_t>(site)];
       // Seed with the first observation, then decay (alpha = 0.2). A
       // never-observed site keeps est == 0, which Score treats as a
@@ -209,24 +177,14 @@ class ReplicaBalancer {
     return best;
   }
 
-  void Bump(const Plan* plan, int delta) {
-    auto [it, inserted] = plan_sites_.try_emplace(plan);
-    if (inserted) it->second = BoundServerSites(*plan, catalog_, page_bytes_);
-    for (const SiteId site : it->second) {
-      outstanding_[static_cast<std::size_t>(site)] += delta;
-    }
-  }
-
   const Catalog& catalog_;
   const ReplicaPolicy policy_;
-  const int page_bytes_;
   std::vector<int32_t> round_robin_;       // per-relation rotation cursor
   std::vector<int> outstanding_;           // per-site in-flight queries
   std::vector<double> ewma_ms_;            // per-site response-time EWMA
   std::map<std::pair<const Plan*, std::vector<int32_t>>,
            std::unique_ptr<Plan>>
       variants_;
-  std::map<const Plan*, std::vector<SiteId>> plan_sites_;
 };
 
 /// True when some sharded relation keeps more than one copy per shard
@@ -241,59 +199,291 @@ bool HasBalancedShards(const Catalog& catalog) {
 /// Creates a balancer when the (policy, catalog) pair calls for one.
 std::unique_ptr<ReplicaBalancer> MakeBalancer(const Catalog& catalog,
                                               ReplicaPolicy policy,
-                                              int page_bytes, int num_sites) {
+                                              int num_sites) {
   if (policy == ReplicaPolicy::kFirstCopy ||
       (!catalog.replicated() && !HasBalancedShards(catalog))) {
     return nullptr;
   }
-  return std::make_unique<ReplicaBalancer>(catalog, policy, page_bytes,
-                                           num_sites);
+  return std::make_unique<ReplicaBalancer>(catalog, policy, num_sites);
 }
 
-/// Shared state of one run, referenced by every client coroutine. Lives in
-/// RunClosedLoop's frame, which outlives session.Run().
-struct RunState {
-  ExecSession& session;
-  const Catalog& catalog;
-  const RetryPolicy& retry;
-  int page_bytes;
-  DriverResult* result;
-  /// Owns plans produced by recovery re-optimization, so adopted plans
-  /// stay alive for the queries still running on them.
-  std::vector<std::unique_ptr<Plan>> replanned;
+/// Rejects workloads that do not match the cluster: one present, bound
+/// workload per client site, each displaying at its own client.
+void CheckClients(const std::vector<ClientWorkload>& clients,
+                  const Catalog& catalog, const SystemConfig& config) {
+  const int num_clients = static_cast<int>(clients.size());
+  DIMSUM_CHECK_GE(num_clients, 1);
+  DIMSUM_CHECK_EQ(num_clients, config.num_clients);
+  DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
+  for (int c = 0; c < num_clients; ++c) {
+    const ClientWorkload& work = clients[c];
+    DIMSUM_CHECK(work.plan != nullptr);
+    DIMSUM_CHECK(work.query != nullptr);
+    DIMSUM_CHECK(!work.plan->empty());
+    DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
+        << "client " << c << "'s plan displays elsewhere";
+    DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
+  }
+}
+
+/// The replica-policy label query-log records carry.
+std::string PolicyLabel(const LoopConfig& loop) {
+  return loop.policy_label.empty() ? ToString(loop.replica_policy)
+                                   : loop.policy_label;
+}
+
+/// Opens an open-loop record's critical path with the admission wait
+/// (arrival to dispatch or rejection); with it the segments tile
+/// [arrival, complete], so they sum to the open-loop response time.
+void AddAdmission(QueryLogRecord& record) {
+  if (record.submit_ms > record.issue_ms) {
+    record.path.segments.insert(
+        record.path.segments.begin(),
+        PathSegment{PathKind::kAdmission, true, kUnboundSite,
+                    record.submit_ms - record.issue_ms});
+  }
+  record.path.total_ms = record.response_ms;
+}
+
+double Ci90(const RunningStat& stat) {
+  return stat.count() >= 2 ? stat.ConfidenceHalfWidth90() : 0.0;
+}
+
+/// The run core both drivers share; only how queries arrive differs
+/// between them. Its calls are plain functions made from the drivers'
+/// coroutines, so it schedules no event of its own. Lives in the entry
+/// point's frame, which outlives session().Run().
+class LoopRun {
+ public:
+  LoopRun(const Catalog& catalog, const SystemConfig& config,
+          const LoopConfig& loop, LoopResult& result)
+      : catalog_(catalog),
+        page_bytes_(config.params.page_bytes),
+        loop_(loop),
+        result_(result),
+        // Query logging needs spans and actuals; both are pure observation,
+        // so forcing them on the session's config copy leaves results
+        // bit-identical.
+        collect_actuals_(config.collect_operator_actuals ||
+                         loop.collect_query_log),
+        session_(catalog, SessionConfig(config, loop.collect_query_log),
+                 loop.seed),
+        balancer_(MakeBalancer(catalog, loop.replica_policy,
+                               config.num_sites())),
+        rng_(loop.seed * 6364136223846793005ULL + 1442695040888963407ULL) {
+    DIMSUM_CHECK_GE(loop.num_batches, 1);
+  }
+  // The drivers' coroutines hold the run's address.
+  LoopRun(const LoopRun&) = delete;
+  LoopRun& operator=(const LoopRun&) = delete;
+
+  const Catalog& catalog() const { return catalog_; }
+  int page_bytes() const { return page_bytes_; }
+  ExecSession& session() { return session_; }
+  sim::Simulator& sim() { return session_.sim(); }
   /// Non-null when a balancing policy is active (see ReplicaBalancer).
-  ReplicaBalancer* balancer = nullptr;
-  /// Plan each ticket is attributed against: the balanced variant when one
-  /// was submitted, otherwise the client's original plan (so recovery
-  /// re-planned tickets keep their pre-existing skip-on-misalignment
-  /// attribution behavior).
-  std::vector<const Plan*> submitted;
-  /// Per-ticket issue instants (the client started trying, before crash
-  /// retries) and the aborted attempts that preceded the submission.
-  std::vector<double> issue_ms;
-  std::vector<std::vector<QueryLogAttempt>> attempts;
+  const ReplicaBalancer* balancer() const { return balancer_.get(); }
+  bool collect_log() const { return loop_.collect_query_log; }
+  /// An independent random stream derived from the run's seed.
+  Rng ForkRng() { return rng_.Fork(); }
+
+  /// Server sites `plan` touches, computed once per plan. `plan` must stay
+  /// alive for the rest of the run, since the cache keys on its address.
+  const std::vector<SiteId>& ServerSites(const Plan& plan) {
+    return Facts(plan).server_sites;
+  }
+
+  /// Keeps a recovery re-planned tree alive for the queries that run on it.
+  const Plan* Adopt(std::unique_ptr<Plan> plan) {
+    return adopted_.emplace_back(std::move(plan)).get();
+  }
+
+  /// Submits `plan` for `client` now and returns its ticket. An
+  /// as-planned submission (the client's own plan) is balanced first; a
+  /// recovery re-planned tree already chose its sites around the crash and
+  /// is submitted as is. Records the plan the ticket executes and, when
+  /// given, the aborted attempts that preceded it.
+  int Submit(const ClientWorkload& work, const Plan& plan, SiteId client,
+             std::optional<std::vector<QueryLogAttempt>> attempts = {}) {
+    const Plan* to_submit = &plan;
+    if (balancer_ != nullptr && to_submit == work.plan) {
+      to_submit = balancer_->Choose(plan, client);
+    }
+    const int ticket = session_.Submit(*to_submit, *work.query);
+    DIMSUM_CHECK_EQ(ticket, static_cast<int>(ticket_plans_.size()));
+    const PlanFacts& facts = Facts(*to_submit);
+    if (balancer_ != nullptr) balancer_->OnSubmit(facts.server_sites);
+    ticket_plans_.push_back(&facts);
+    if (attempts) attempts_.push_back(std::move(*attempts));
+    return ticket;
+  }
+
+  /// Records `ticket`'s completion now, in global completion order.
+  void Complete(int ticket, SiteId client, double arrival_ms,
+                double submit_ms) {
+    const double now = sim().now();
+    if (balancer_ != nullptr) {
+      balancer_->OnComplete(ticket_plans_[ticket]->server_sites,
+                            now - submit_ms);
+    }
+    result_.completions.push_back(
+        Completion{ticket, client, arrival_ms, submit_ms, now});
+  }
+
+  /// Fills the LoopResult after session().Run(): per-query metrics,
+  /// totals, the bottleneck, completed-query log records and the
+  /// steady-state estimates past the first `warmup` completions. Response
+  /// time runs from arrival when `from_arrival` (the open loop, whose
+  /// records then carry an "admission" segment), else from submission.
+  void Finish(int warmup, bool from_arrival);
+
+ private:
+  /// What the run needs of one plan, computed once (plans repeat across
+  /// tickets).
+  struct PlanFacts {
+    std::vector<SiteId> server_sites;  // balancer load, crash checks, fanout
+    std::vector<SiteId> op_sites;      // when actuals are collected
+    uint64_t signature = 0;            // when the query log is collected
+  };
+
+  static SystemConfig SessionConfig(SystemConfig config, bool query_log) {
+    if (query_log) {
+      config.collect_spans = true;
+      config.collect_operator_actuals = true;
+    }
+    return config;
+  }
+
+  const PlanFacts& Facts(const Plan& plan) {
+    auto [it, inserted] = plans_.try_emplace(&plan);
+    if (inserted) {
+      it->second.server_sites = BoundServerSites(plan, catalog_, page_bytes_);
+      if (collect_actuals_) it->second.op_sites = OperatorSites(plan);
+      if (collect_log()) {
+        it->second.signature = HashPlanSignature(PlanSignature(plan));
+      }
+    }
+    return it->second;
+  }
+
+  const Catalog& catalog_;
+  const int page_bytes_;
+  const LoopConfig& loop_;
+  LoopResult& result_;
+  const bool collect_actuals_;
+  ExecSession session_;
+  std::unique_ptr<ReplicaBalancer> balancer_;
+  Rng rng_;
+  std::map<const Plan*, PlanFacts> plans_;
+  std::vector<std::unique_ptr<Plan>> adopted_;
+  /// Per ticket: the executed plan's facts, and (closed loop only) the
+  /// aborted submission attempts before it.
+  std::vector<const PlanFacts*> ticket_plans_;
+  std::vector<std::vector<QueryLogAttempt>> attempts_;
 };
 
-/// One closed-loop client: submit, await completion, think, repeat.
-/// Records each completion into the shared result at its completion
-/// instant, so the global completion order falls directly out of the
-/// event order. With a fault schedule, each submission first runs crash
-/// detection and recovery (see RetryPolicy).
-sim::Process ClientProcess(RunState& run, const ClientWorkload& work,
-                           SiteId client, int queries, double think_mean_ms,
-                           Rng rng) {
-  sim::Simulator& sim = run.session.sim();
+void LoopRun::Finish(int warmup, bool from_arrival) {
+  LoopResult& r = result_;
+  r.totals = session_.Totals();
+  const int total = session_.submitted();
+  r.per_query.reserve(total);
+  for (int t = 0; t < total; ++t) r.per_query.push_back(session_.Metrics(t));
+  r.makespan_ms =
+      r.completions.empty() ? 0.0 : r.completions.back().complete_ms;
+  const auto response_ms = [from_arrival](const Completion& c) {
+    return c.complete_ms - (from_arrival ? c.arrival_ms : c.submit_ms);
+  };
+  if (collect_actuals_) {
+    BottleneckAccumulator acc;
+    for (const Completion& c : r.completions) {
+      acc.Add(ticket_plans_[c.ticket]->op_sites, r.per_query[c.ticket]);
+    }
+    r.bottleneck = acc.Finish(r.totals, r.makespan_ms);
+  }
+  if (collect_log()) {
+    const std::string policy = PolicyLabel(loop_);
+    r.query_log.reserve(r.completions.size());
+    for (const Completion& c : r.completions) {
+      const PlanFacts& facts = *ticket_plans_[c.ticket];
+      QueryLogRecord record;
+      record.policy = policy;
+      record.ticket = c.ticket;
+      record.client = c.client;
+      record.plan_signature = facts.signature;
+      record.fanout = facts.server_sites;
+      record.issue_ms = c.arrival_ms;
+      record.submit_ms = c.submit_ms;
+      record.complete_ms = c.complete_ms;
+      record.response_ms = response_ms(c);
+      if (!attempts_.empty()) record.attempts = attempts_[c.ticket];
+      for (const OperatorActual& a : r.per_query[c.ticket].operator_actuals) {
+        record.cpu_elapsed_ms += a.cpu_ms;
+        record.disk_elapsed_ms += a.disk_ms;
+        record.net_elapsed_ms += a.net_ms;
+        record.stall_elapsed_ms += a.stall_ms;
+      }
+      const sim::QuerySpans* spans = session_.Spans(c.ticket);
+      DIMSUM_CHECK(spans != nullptr);
+      record.path = ExtractCriticalPath(*spans);
+      if (from_arrival) AddAdmission(record);
+      r.query_log.push_back(std::move(record));
+    }
+  }
+
+  // Steady-state estimation over the post-warmup completions, in global
+  // completion order (the batch-means method over one merged output
+  // stream).
+  const int completed = static_cast<int>(r.completions.size());
+  warmup = std::min(warmup, completed);
+  r.warmup_end_ms = warmup > 0 ? r.completions[warmup - 1].complete_ms : 0.0;
+  r.measured = completed - warmup;
+  const double window_ms = r.makespan_ms - r.warmup_end_ms;
+  r.throughput_qps = window_ms > 0.0 ? r.measured / window_ms * 1000.0 : 0.0;
+
+  // Batch means: split the measured stream into num_batches contiguous
+  // batches of floor(measured / num_batches) completions (at least one),
+  // folding the remainder into the last batch.
+  const int batch_size = std::max(1, r.measured / loop_.num_batches);
+  RunningStat overall;
+  RunningStat batch;
+  int in_batch = 0;
+  int batches_done = 0;
+  for (int i = warmup; i < completed; ++i) {
+    const double ms = response_ms(r.completions[i]);
+    overall.Add(ms);
+    batch.Add(ms);
+    ++in_batch;
+    const bool last_batch = batches_done + 1 >= loop_.num_batches;
+    if (in_batch >= batch_size && !last_batch) {
+      r.batch_means.Add(batch.mean());
+      batch = RunningStat();
+      in_batch = 0;
+      ++batches_done;
+    }
+  }
+  if (in_batch > 0) r.batch_means.Add(batch.mean());
+  r.mean_response_ms = overall.mean();
+  r.response_ci90_ms = Ci90(r.batch_means);
+}
+
+/// One closed-loop client: submit, await completion, think, repeat. With a
+/// fault schedule, each submission first runs crash detection and recovery
+/// (see RetryPolicy).
+sim::Process ClientProcess(LoopRun& run, DriverResult& result,
+                           const DriverConfig& driver,
+                           const ClientWorkload& work, SiteId client, Rng rng) {
+  sim::Simulator& sim = run.sim();
+  const RetryPolicy& retry = driver.retry;
   const Plan* plan = work.plan;
-  for (int i = 0; i < queries; ++i) {
-    if (i > 0 && think_mean_ms > 0.0) {
-      co_await sim.Delay(rng.Exponential(think_mean_ms));
+  sim::FaultState* faults = run.session().faults();
+  for (int i = 0; i < driver.queries_per_client; ++i) {
+    if (i > 0 && driver.think_time_mean_ms > 0.0) {
+      co_await sim.Delay(rng.Exponential(driver.think_time_mean_ms));
     }
     const double issue_ms = sim.now();
     std::vector<QueryLogAttempt> attempt_log;
-    int attempts = 0;
-    sim::FaultState* faults = run.session.faults();
     if (faults != nullptr) {
-      double backoff_ms = run.retry.backoff_base_ms;
+      double backoff_ms = retry.backoff_base_ms;
       while (true) {
         // The previous attempt's wait ran until this re-check instant.
         if (!attempt_log.empty() && attempt_log.back().wait_ms == 0.0) {
@@ -301,39 +491,38 @@ sim::Process ClientProcess(RunState& run, const ClientWorkload& work,
               sim.now() - attempt_log.back().start_ms;
         }
         std::vector<SiteId> down;
-        for (const SiteId site :
-             BoundServerSites(*plan, run.catalog, run.page_bytes)) {
+        for (const SiteId site : run.ServerSites(*plan)) {
           if (faults->SiteDown(site, sim.now())) down.push_back(site);
         }
         if (down.empty()) break;
         // The submission attempt times out against the crashed site.
-        ++attempts;
-        ++run.result->total_retries;
+        ++result.total_retries;
         attempt_log.push_back(QueryLogAttempt{sim.now(), 0.0, false});
-        co_await sim.Delay(run.retry.detect_timeout_ms);
-        if (run.retry.reoptimize && work.reopt_model != nullptr &&
+        co_await sim.Delay(retry.detect_timeout_ms);
+        if (retry.reoptimize && work.reopt_model != nullptr &&
             work.reopt_config != nullptr) {
           OptimizerConfig reopt = *work.reopt_config;
           reopt.unavailable_sites = faults->DownSites(sim.now());
           Rng opt_rng = rng.Fork();
           OptimizeResult selected = TwoStepSiteSelection(
               *work.reopt_model, *work.plan, *work.query, reopt, opt_rng);
-          ++run.result->total_reopts;
+          ++result.total_reopts;
           attempt_log.back().reoptimized = true;
           auto candidate = std::make_unique<Plan>(std::move(selected.plan));
-          BindSites(*candidate, run.catalog, client);
+          BindSites(*candidate, run.catalog(), client);
+          // Not run.ServerSites: a discarded candidate's address may be
+          // reused, so only adopted plans enter the cache.
           bool avoids_down = true;
           for (const SiteId site :
-               BoundServerSites(*candidate, run.catalog, run.page_bytes)) {
+               BoundServerSites(*candidate, run.catalog(), run.page_bytes())) {
             if (faults->SiteDown(site, sim.now())) avoids_down = false;
           }
           if (avoids_down) {
-            plan = candidate.get();
-            run.replanned.push_back(std::move(candidate));
+            plan = run.Adopt(std::move(candidate));
             continue;  // re-check and submit the recovered plan
           }
         }
-        if (attempts >= run.retry.max_retries) {
+        if (static_cast<int>(attempt_log.size()) >= retry.max_retries) {
           // Out of retries; wait for the first blocking site to restart
           // (queries are never abandoned).
           while (faults->SiteDown(down.front(), sim.now())) {
@@ -344,37 +533,16 @@ sim::Process ClientProcess(RunState& run, const ClientWorkload& work,
         }
         co_await sim.Delay(backoff_ms);
         backoff_ms =
-            std::min(backoff_ms * run.retry.backoff_mult,
-                     run.retry.backoff_cap_ms);
+            std::min(backoff_ms * retry.backoff_mult, retry.backoff_cap_ms);
       }
     }
     const double submit_ms = sim.now();
-    // Load balancing rewrites as-planned submissions only; a recovery
-    // re-planned tree already chose its sites around the crash.
-    const Plan* to_submit = plan;
-    if (run.balancer != nullptr && plan == work.plan) {
-      to_submit = run.balancer->Choose(*plan, client);
-    }
-    const int ticket = run.session.Submit(*to_submit, *work.query);
-    if (run.balancer != nullptr) run.balancer->OnSubmit(to_submit);
-    if (static_cast<int>(run.result->query_client.size()) <= ticket) {
-      run.result->query_client.resize(ticket + 1, kUnboundSite);
-      run.result->retries_per_query.resize(ticket + 1, 0);
-      run.submitted.resize(ticket + 1, nullptr);
-      run.issue_ms.resize(ticket + 1, 0.0);
-      run.attempts.resize(ticket + 1);
-    }
-    run.result->query_client[ticket] = client;
-    run.result->retries_per_query[ticket] = attempts;
-    run.submitted[ticket] = (to_submit != plan) ? to_submit : work.plan;
-    run.issue_ms[ticket] = issue_ms;
-    run.attempts[ticket] = std::move(attempt_log);
-    co_await run.session.UntilDone(ticket);
-    if (run.balancer != nullptr) {
-      run.balancer->OnComplete(to_submit, sim.now() - submit_ms);
-    }
-    run.result->completions.push_back(
-        Completion{ticket, client, submit_ms, sim.now()});
+    const int retries = static_cast<int>(attempt_log.size());
+    const int ticket = run.Submit(work, *plan, client, std::move(attempt_log));
+    result.query_client.push_back(client);
+    result.retries_per_query.push_back(retries);
+    co_await run.session().UntilDone(ticket);
+    run.Complete(ticket, client, issue_ms, submit_ms);
   }
 }
 
@@ -384,135 +552,39 @@ DriverResult RunClosedLoop(const std::vector<ClientWorkload>& clients,
                            const Catalog& catalog, const SystemConfig& config,
                            const DriverConfig& driver) {
   const int num_clients = static_cast<int>(clients.size());
-  DIMSUM_CHECK_GE(num_clients, 1);
-  DIMSUM_CHECK_EQ(num_clients, config.num_clients);
-  DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
   DIMSUM_CHECK_GE(driver.queries_per_client, 1);
   DIMSUM_CHECK_GE(driver.think_time_mean_ms, 0.0);
-  DIMSUM_CHECK_GE(driver.num_batches, 1);
   const int total = num_clients * driver.queries_per_client;
+  DIMSUM_CHECK_GE(driver.warmup_queries, 0);
   DIMSUM_CHECK_LT(driver.warmup_queries, total)
       << "warmup must leave at least one measured completion";
 
+  CheckClients(clients, catalog, config);
   DriverResult result;
-  // Query logging needs spans and actuals; both are pure observation, so
-  // forcing them on the session's config copy leaves results bit-identical.
-  SystemConfig session_config = config;
-  if (driver.collect_query_log) {
-    session_config.collect_spans = true;
-    session_config.collect_operator_actuals = true;
-  }
-  ExecSession session(catalog, session_config, driver.seed);
+  LoopRun run(catalog, config, driver, result);
+  ExecSession& session = run.session();
   session.ExpectQueries(total);
-  std::unique_ptr<ReplicaBalancer> balancer =
-      MakeBalancer(catalog, driver.replica_policy, config.params.page_bytes,
-                   config.num_sites());
-  RunState run{session,  catalog, driver.retry, config.params.page_bytes,
-               &result,  {},      balancer.get(), {}};
-  Rng rng(driver.seed * 6364136223846793005ULL + 1442695040888963407ULL);
   for (int c = 0; c < num_clients; ++c) {
-    const ClientWorkload& work = clients[c];
-    DIMSUM_CHECK(work.plan != nullptr);
-    DIMSUM_CHECK(work.query != nullptr);
-    DIMSUM_CHECK(!work.plan->empty());
-    DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
-        << "client " << c << "'s plan displays elsewhere";
-    DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
-    session.sim().Spawn(ClientProcess(run, work, ClientSite(c),
-                                      driver.queries_per_client,
-                                      driver.think_time_mean_ms, rng.Fork()));
+    session.sim().Spawn(ClientProcess(run, result, driver, clients[c],
+                                      ClientSite(c), run.ForkRng()));
   }
   session.Run();
 
   DIMSUM_CHECK_EQ(static_cast<int>(result.completions.size()), total);
-  result.totals = session.Totals();
-  result.per_query.reserve(total);
-  for (int t = 0; t < total; ++t) {
-    result.per_query.push_back(session.Metrics(t));
-    result.fault_stall_ms += session.Metrics(t).fault_stall_ms;
-    result.retransmits += session.Metrics(t).retransmits;
-  }
-  result.makespan_ms = result.completions.back().complete_ms;
-  if (session_config.collect_operator_actuals) {
-    // Attribute each ticket against the plan actually submitted for it
-    // (the balanced variant when one was chosen); queries that ran a
-    // recovery re-planned tree are skipped by the accumulator (their
-    // actuals no longer align with the client's plan).
-    std::map<const Plan*, std::vector<SiteId>> op_sites;
-    BottleneckAccumulator acc;
-    for (int t = 0; t < total; ++t) {
-      const Plan* p = run.submitted[t];
-      auto [it, inserted] = op_sites.try_emplace(p);
-      if (inserted) it->second = OperatorSites(*p);
-      acc.Add(it->second, result.per_query[t]);
-    }
-    result.bottleneck = acc.Finish(result.totals, result.makespan_ms);
-  }
-  if (driver.collect_query_log) {
-    const std::string policy = driver.policy_label.empty()
-                                   ? ToString(driver.replica_policy)
-                                   : driver.policy_label;
-    PlanLogCache plans(catalog, config.params.page_bytes);
-    result.query_log.reserve(total);
-    for (const Completion& c : result.completions) {
-      QueryLogRecord record;
-      record.policy = policy;
-      record.ticket = c.ticket;
-      record.client = c.client;
-      const Plan& plan = *run.submitted[c.ticket];
-      record.plan_signature = plans.Signature(plan);
-      record.fanout = plans.Fanout(plan);
-      record.issue_ms = run.issue_ms[c.ticket];
-      record.submit_ms = c.submit_ms;
-      record.complete_ms = c.complete_ms;
-      record.response_ms = c.complete_ms - c.submit_ms;
-      record.attempts = run.attempts[c.ticket];
-      FillResourceTotals(result.per_query[c.ticket], record);
-      const sim::QuerySpans* spans = session.Spans(c.ticket);
-      DIMSUM_CHECK(spans != nullptr);
-      record.path = ExtractCriticalPath(*spans);
-      result.query_log.push_back(std::move(record));
-    }
+  run.Finish(driver.warmup_queries, /*from_arrival=*/false);
+  for (const ExecMetrics& metrics : result.per_query) {
+    result.fault_stall_ms += metrics.fault_stall_ms;
+    result.retransmits += metrics.retransmits;
   }
   result.abort_rate =
       static_cast<double>(result.total_retries) /
       static_cast<double>(total + result.total_retries);
-
-  // Steady-state estimation over the post-warmup completions, in global
-  // completion order (the batch-means method over one merged output
-  // stream).
-  const int warmup = driver.warmup_queries;
-  result.warmup_end_ms =
-      warmup > 0 ? result.completions[warmup - 1].complete_ms : 0.0;
-  result.measured = total - warmup;
-  const double window_ms = result.makespan_ms - result.warmup_end_ms;
-  result.throughput_qps =
-      window_ms > 0.0 ? result.measured / window_ms * 1000.0 : 0.0;
-
-  // Batch means: split the measured stream into num_batches contiguous
-  // batches of floor(measured / num_batches) completions (at least one),
-  // folding the remainder into the last batch.
-  const int batch_size = std::max(1, result.measured / driver.num_batches);
-  RunningStat overall;
-  RunningStat batch;
-  int in_batch = 0;
-  int batches_done = 0;
-  for (int i = warmup; i < total; ++i) {
-    const Completion& c = result.completions[i];
-    const double response_ms = c.complete_ms - c.submit_ms;
-    overall.Add(response_ms);
-    batch.Add(response_ms);
-    ++in_batch;
-    const bool last_batch = batches_done + 1 >= driver.num_batches;
-    if (in_batch >= batch_size && !last_batch) {
-      result.batch_means.Add(batch.mean());
-      batch = RunningStat();
-      in_batch = 0;
-      ++batches_done;
-    }
-    // Availability-windowed split (faulted runs only): degraded when any
-    // site was down somewhere in [submit, complete).
-    if (session.faults() != nullptr) {
+  if (session.faults() != nullptr) {
+    // Availability-windowed split: degraded when any site was down
+    // somewhere in [submit, complete).
+    for (const Completion& c :
+         std::span(result.completions).last(result.measured)) {
+      const double response_ms = c.complete_ms - c.submit_ms;
       if (session.faults()->AnySiteDownDuring(c.submit_ms, c.complete_ms)) {
         result.degraded_response_ms.Add(response_ms);
       } else {
@@ -520,19 +592,8 @@ DriverResult RunClosedLoop(const std::vector<ClientWorkload>& clients,
       }
     }
   }
-  if (in_batch > 0) result.batch_means.Add(batch.mean());
-  result.mean_response_ms = overall.mean();
-  result.response_ci90_ms = result.batch_means.count() >= 2
-                                ? result.batch_means.ConfidenceHalfWidth90()
-                                : 0.0;
-  result.healthy_ci90_ms =
-      result.healthy_response_ms.count() >= 2
-          ? result.healthy_response_ms.ConfidenceHalfWidth90()
-          : 0.0;
-  result.degraded_ci90_ms =
-      result.degraded_response_ms.count() >= 2
-          ? result.degraded_response_ms.ConfidenceHalfWidth90()
-          : 0.0;
+  result.healthy_ci90_ms = Ci90(result.healthy_response_ms);
+  result.degraded_ci90_ms = Ci90(result.degraded_response_ms);
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (registry.enabled()) {
@@ -559,35 +620,30 @@ DriverResult RunClosedLoop(const std::vector<ClientWorkload>& clients,
 
 namespace {
 
-/// Shared state of one open-loop run. Lives in RunOpenLoop's frame, which
-/// outlives session.Run().
+/// Admission state of one open-loop run, on top of the shared core. Lives
+/// in RunOpenLoop's frame, which outlives session().Run().
 struct OpenLoopState {
-  ExecSession& session;
+  LoopRun& run;
   const std::vector<ClientWorkload>& clients;
   const AdmissionControl& admission;
-  OpenLoopResult* result;
+  OpenLoopResult& result;
 
   struct PendingArrival {
     double arrival_ms;
     int client_index;
   };
-  std::deque<PendingArrival> pending;
+  std::deque<PendingArrival> pending{};
   int in_flight = 0;
-  /// Non-null when a balancing policy is active (see ReplicaBalancer).
-  ReplicaBalancer* balancer = nullptr;
-  /// Plan actually submitted for each ticket (for bottleneck attribution).
-  std::vector<const Plan*> submitted;
 
-  /// Query-log collection (OpenLoopConfig::collect_query_log): arrivals
-  /// turned away, recorded at their rejection instants.
-  bool collect_log = false;
+  /// With the query log on, arrivals turned away, recorded at their
+  /// rejection instants.
   struct Rejected {
     double arrival_ms;
     double reject_ms;
     SiteId client;
   };
-  std::vector<Rejected> aborted_log;
-  std::vector<Rejected> shed_log;
+  std::vector<Rejected> aborted_log{};
+  std::vector<Rejected> shed_log{};
 };
 
 sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
@@ -597,33 +653,32 @@ sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
 void OpenLoopDispatch(OpenLoopState& state, int client_index,
                       double arrival_ms) {
   ++state.in_flight;
-  ++state.result->dispatched;
-  if (state.in_flight > state.result->peak_in_flight) {
-    state.result->peak_in_flight = state.in_flight;
+  ++state.result.dispatched;
+  if (state.in_flight > state.result.peak_in_flight) {
+    state.result.peak_in_flight = state.in_flight;
   }
-  state.session.sim().Spawn(OpenLoopQuery(state, client_index, arrival_ms));
+  state.run.sim().Spawn(OpenLoopQuery(state, client_index, arrival_ms));
 }
 
 /// Admission control at the arrival instant: dispatch if a slot is free,
 /// otherwise queue up to max_pending, otherwise shed.
 void OpenLoopAdmit(OpenLoopState& state, int client_index) {
-  ++state.result->arrivals;
+  ++state.result.arrivals;
   const AdmissionControl& ac = state.admission;
-  const double now = state.session.sim().now();
+  const double now = state.run.sim().now();
   if (ac.max_in_flight <= 0 || state.in_flight < ac.max_in_flight) {
     OpenLoopDispatch(state, client_index, now);
     return;
   }
   if (static_cast<int>(state.pending.size()) < ac.max_pending) {
     state.pending.push_back({now, client_index});
-    if (static_cast<int>(state.pending.size()) >
-        state.result->peak_pending) {
-      state.result->peak_pending = static_cast<int>(state.pending.size());
+    if (static_cast<int>(state.pending.size()) > state.result.peak_pending) {
+      state.result.peak_pending = static_cast<int>(state.pending.size());
     }
     return;
   }
-  ++state.result->shed;
-  if (state.collect_log) {
+  ++state.result.shed;
+  if (state.run.collect_log()) {
     state.shed_log.push_back({now, now, ClientSite(client_index)});
   }
 }
@@ -633,26 +688,15 @@ void OpenLoopAdmit(OpenLoopState& state, int client_index) {
 /// abort_wait_ms).
 sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
                            double arrival_ms) {
-  sim::Simulator& sim = state.session.sim();
+  LoopRun& run = state.run;
+  sim::Simulator& sim = run.sim();
   const ClientWorkload& work = state.clients[client_index];
+  const SiteId client = ClientSite(client_index);
   const double submit_ms = sim.now();
-  const Plan* to_submit =
-      state.balancer != nullptr
-          ? state.balancer->Choose(*work.plan, ClientSite(client_index))
-          : work.plan;
-  const int ticket = state.session.Submit(*to_submit, *work.query);
-  if (state.balancer != nullptr) state.balancer->OnSubmit(to_submit);
-  if (static_cast<int>(state.submitted.size()) <= ticket) {
-    state.submitted.resize(static_cast<std::size_t>(ticket) + 1, nullptr);
-  }
-  state.submitted[ticket] = to_submit;
-  co_await state.session.UntilDone(ticket);
-  if (state.balancer != nullptr) {
-    state.balancer->OnComplete(to_submit, sim.now() - submit_ms);
-  }
-  state.result->completions.push_back(OpenLoopCompletion{
-      ticket, ClientSite(client_index), arrival_ms, submit_ms, sim.now()});
-  ++state.result->completed;
+  const int ticket = run.Submit(work, *work.plan, client);
+  co_await run.session().UntilDone(ticket);
+  run.Complete(ticket, client, arrival_ms, submit_ms);
+  ++state.result.completed;
   --state.in_flight;
   const AdmissionControl& ac = state.admission;
   while (!state.pending.empty() &&
@@ -661,8 +705,8 @@ sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
     state.pending.pop_front();
     if (ac.abort_wait_ms > 0.0 &&
         sim.now() - next.arrival_ms > ac.abort_wait_ms) {
-      ++state.result->aborted;
-      if (state.collect_log) {
+      ++state.result.aborted;
+      if (state.run.collect_log()) {
         state.aborted_log.push_back(
             {next.arrival_ms, sim.now(), ClientSite(next.client_index)});
       }
@@ -677,7 +721,7 @@ sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
 sim::Process OpenLoopGenerator(OpenLoopState& state,
                                const ArrivalProcessConfig& arrival,
                                double duration_ms, Rng rng) {
-  sim::Simulator& sim = state.session.sim();
+  sim::Simulator& sim = state.run.sim();
   const int num_clients = static_cast<int>(state.clients.size());
   const double mean_gap_ms = 1000.0 / arrival.rate_per_sec;
   int next_client = 0;
@@ -752,13 +796,8 @@ sim::Process OpenLoopGenerator(OpenLoopState& state,
 OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
                            const Catalog& catalog, const SystemConfig& config,
                            const OpenLoopConfig& openloop) {
-  const int num_clients = static_cast<int>(clients.size());
-  DIMSUM_CHECK_GE(num_clients, 1);
-  DIMSUM_CHECK_EQ(num_clients, config.num_clients);
-  DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
   DIMSUM_CHECK_GT(openloop.arrival.rate_per_sec, 0.0);
   DIMSUM_CHECK_GT(openloop.duration_ms, 0.0);
-  DIMSUM_CHECK_GE(openloop.num_batches, 1);
   DIMSUM_CHECK_GE(openloop.warmup_completions, 0);
   if (openloop.arrival.kind == ArrivalKind::kBursty) {
     DIMSUM_CHECK_GT(openloop.arrival.burst_factor, 0.0);
@@ -773,33 +812,14 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
   DIMSUM_CHECK_GE(openloop.admission.max_in_flight, 0);
   DIMSUM_CHECK_GE(openloop.admission.max_pending, 0);
   DIMSUM_CHECK_GE(openloop.admission.abort_wait_ms, 0.0);
-  for (int c = 0; c < num_clients; ++c) {
-    const ClientWorkload& work = clients[c];
-    DIMSUM_CHECK(work.plan != nullptr);
-    DIMSUM_CHECK(work.query != nullptr);
-    DIMSUM_CHECK(!work.plan->empty());
-    DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
-        << "client " << c << "'s plan displays elsewhere";
-    DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
-  }
+  CheckClients(clients, catalog, config);
 
   OpenLoopResult result;
   // The shed count is only known at the end, so the session's completion
-  // target grows dynamically with each Submit (no ExpectQueries). Query
-  // logging needs spans and actuals; both are pure observation, so forcing
-  // them on the session's config copy leaves results bit-identical.
-  SystemConfig session_config = config;
-  if (openloop.collect_query_log) {
-    session_config.collect_spans = true;
-    session_config.collect_operator_actuals = true;
-  }
-  ExecSession session(catalog, session_config, openloop.seed);
-  std::unique_ptr<ReplicaBalancer> balancer =
-      MakeBalancer(catalog, openloop.replica_policy, config.params.page_bytes,
-                   config.num_sites());
-  OpenLoopState state{session, clients, openloop.admission, &result,
-                      {},      0,       balancer.get(),     {}};
-  state.collect_log = openloop.collect_query_log;
+  // target grows dynamically with each Submit (no ExpectQueries).
+  LoopRun run(catalog, config, openloop, result);
+  ExecSession& session = run.session();
+  OpenLoopState state{run, clients, openloop.admission, result};
   if (config.telemetry != nullptr) {
     // Admission-control gauges ride the sampler's existing boundaries on
     // their own "driver" track (one past the network pid). Pure reads of
@@ -812,14 +832,14 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
     config.telemetry->AddGauge(
         driver_pid, kUnboundSite, "admission", "pending",
         [&state] { return static_cast<double>(state.pending.size()); });
-    if (state.balancer != nullptr) {
+    if (const ReplicaBalancer* balancer = run.balancer()) {
       // Per-server in-flight gauges: the balancing policy's own view of
       // server load, sampled on the same non-perturbing boundaries.
       for (SiteId s = catalog.num_clients();
            s < session.system().num_sites(); ++s) {
         config.telemetry->AddGauge(
-            driver_pid, s, "replica", "outstanding", [&state, s] {
-              return static_cast<double>(state.balancer->outstanding(s));
+            driver_pid, s, "replica", "outstanding", [balancer, s] {
+              return static_cast<double>(balancer->outstanding(s));
             });
       }
     }
@@ -827,9 +847,8 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
       config.trace->SetProcessName(driver_pid, "driver");
     }
   }
-  Rng rng(openloop.seed * 6364136223846793005ULL + 1442695040888963407ULL);
   session.sim().Spawn(OpenLoopGenerator(state, openloop.arrival,
-                                        openloop.duration_ms, rng.Fork()));
+                                        openloop.duration_ms, run.ForkRng()));
   session.Run();
 
   DIMSUM_CHECK_EQ(result.completed, result.dispatched);
@@ -839,68 +858,18 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
   // Pending arrivals that never got a slot before the run drained count as
   // aborted (they were admitted but never executed).
   result.aborted += static_cast<int64_t>(state.pending.size());
-  if (state.collect_log) {
+  if (openloop.collect_query_log) {
     for (const OpenLoopState::PendingArrival& p : state.pending) {
       state.aborted_log.push_back(
           {p.arrival_ms, session.sim().now(), ClientSite(p.client_index)});
     }
-  }
-
-  result.totals = session.Totals();
-  const int total = session.submitted();
-  result.per_query.reserve(total);
-  for (int t = 0; t < total; ++t) {
-    result.per_query.push_back(session.Metrics(t));
-  }
-  result.makespan_ms =
-      result.completions.empty() ? 0.0 : result.completions.back().complete_ms;
-  if (session_config.collect_operator_actuals) {
-    std::map<const Plan*, std::vector<SiteId>> op_sites;
-    BottleneckAccumulator acc;
-    for (const OpenLoopCompletion& c : result.completions) {
-      const Plan* p = state.submitted[c.ticket];
-      auto [it, inserted] = op_sites.try_emplace(p);
-      if (inserted) it->second = OperatorSites(*p);
-      acc.Add(it->second, result.per_query[c.ticket]);
-    }
-    result.bottleneck = acc.Finish(result.totals, result.makespan_ms);
-  }
-  if (openloop.collect_query_log) {
-    const std::string policy = openloop.policy_label.empty()
-                                   ? ToString(openloop.replica_policy)
-                                   : openloop.policy_label;
-    PlanLogCache plans(catalog, config.params.page_bytes);
     result.query_log.reserve(result.completions.size() +
                              state.aborted_log.size() +
                              state.shed_log.size());
-    for (const OpenLoopCompletion& c : result.completions) {
-      QueryLogRecord record;
-      record.policy = policy;
-      record.ticket = c.ticket;
-      record.client = c.client;
-      const Plan& plan = *state.submitted[c.ticket];
-      record.plan_signature = plans.Signature(plan);
-      record.fanout = plans.Fanout(plan);
-      record.issue_ms = c.arrival_ms;
-      record.submit_ms = c.submit_ms;
-      record.complete_ms = c.complete_ms;
-      record.response_ms = c.complete_ms - c.arrival_ms;
-      FillResourceTotals(result.per_query[c.ticket], record);
-      const sim::QuerySpans* spans = session.Spans(c.ticket);
-      DIMSUM_CHECK(spans != nullptr);
-      record.path = ExtractCriticalPath(*spans);
-      // The admission wait (arrival -> dispatch) precedes execution; with
-      // it the segments tile [arrival, complete], so they sum to the
-      // open-loop response time.
-      if (c.submit_ms > c.arrival_ms) {
-        record.path.segments.insert(
-            record.path.segments.begin(),
-            PathSegment{PathKind::kAdmission, true, kUnboundSite,
-                        c.submit_ms - c.arrival_ms});
-      }
-      record.path.total_ms = record.response_ms;
-      result.query_log.push_back(std::move(record));
-    }
+  }
+  run.Finish(openloop.warmup_completions, /*from_arrival=*/true);
+  if (openloop.collect_query_log) {
+    const std::string policy = PolicyLabel(openloop);
     auto rejected = [&](const OpenLoopState::Rejected& r,
                         const char* outcome) {
       QueryLogRecord record;
@@ -911,11 +880,7 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
       record.submit_ms = r.reject_ms;
       record.complete_ms = r.reject_ms;
       record.response_ms = r.reject_ms - r.arrival_ms;
-      record.path.total_ms = record.response_ms;
-      if (record.response_ms > 0.0) {
-        record.path.segments.push_back(PathSegment{
-            PathKind::kAdmission, true, kUnboundSite, record.response_ms});
-      }
+      AddAdmission(record);
       result.query_log.push_back(std::move(record));
     };
     for (const OpenLoopState::Rejected& r : state.aborted_log) {
@@ -928,45 +893,12 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
   result.offered_qps = result.arrivals / openloop.duration_ms * 1000.0;
   result.processed_events = session.sim().processed_events();
   result.peak_event_queue_depth = session.sim().peak_queue_depth();
-
-  // Steady-state estimation over post-warmup completions, mirroring the
-  // closed-loop batch-means method. Response time runs arrival to
-  // completion, so admission-queue waits are part of the figure.
-  const int completed = static_cast<int>(result.completions.size());
-  const int warmup = std::min(openloop.warmup_completions, completed);
-  result.warmup_end_ms =
-      warmup > 0 ? result.completions[warmup - 1].complete_ms : 0.0;
-  result.measured = completed - warmup;
-  const double window_ms = result.makespan_ms - result.warmup_end_ms;
-  result.throughput_qps =
-      window_ms > 0.0 ? result.measured / window_ms * 1000.0 : 0.0;
-  const int batch_size = std::max(1, result.measured / openloop.num_batches);
-  RunningStat overall;
   RunningStat queue_wait;
-  RunningStat batch;
-  int in_batch = 0;
-  int batches_done = 0;
-  for (int i = warmup; i < completed; ++i) {
-    const OpenLoopCompletion& c = result.completions[i];
-    const double response_ms = c.complete_ms - c.arrival_ms;
-    overall.Add(response_ms);
+  for (const Completion& c :
+       std::span(result.completions).last(result.measured)) {
     queue_wait.Add(c.submit_ms - c.arrival_ms);
-    batch.Add(response_ms);
-    ++in_batch;
-    const bool last_batch = batches_done + 1 >= openloop.num_batches;
-    if (in_batch >= batch_size && !last_batch) {
-      result.batch_means.Add(batch.mean());
-      batch = RunningStat();
-      in_batch = 0;
-      ++batches_done;
-    }
   }
-  if (in_batch > 0) result.batch_means.Add(batch.mean());
-  result.mean_response_ms = overall.mean();
   result.mean_queue_wait_ms = queue_wait.mean();
-  result.response_ci90_ms = result.batch_means.count() >= 2
-                                ? result.batch_means.ConfidenceHalfWidth90()
-                                : 0.0;
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (registry.enabled()) {

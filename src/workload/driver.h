@@ -2,6 +2,7 @@
 #define DIMSUM_WORKLOAD_DRIVER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -86,30 +87,18 @@ enum class ReplicaPolicy {
 /// "first-copy", "round-robin", or "least-outstanding".
 const char* ToString(ReplicaPolicy policy);
 
-/// Parameters of a closed-loop multi-client run.
-struct DriverConfig {
-  /// Completions each client contributes before retiring.
-  int queries_per_client = 10;
-  /// Mean of the exponential think time between a query's completion and
-  /// the client's next submission, ms. Zero thinks are skipped entirely
-  /// (the next query is submitted at the completion instant).
-  double think_time_mean_ms = 0.0;
-  /// Completions (in global completion order) discarded as warmup before
-  /// steady-state estimation starts.
-  int warmup_queries = 0;
+/// Settings both workload drivers share.
+struct LoopConfig {
   /// Number of batches for batch-means estimation of the response-time
   /// mean. Fewer measured completions than batches degrades gracefully
   /// (each batch holds at least one sample; leftovers fold into the last).
   int num_batches = 10;
   uint64_t seed = 0;
-  /// Crash detection/retry behavior; only consulted when the SystemConfig
-  /// carries a fault schedule.
-  RetryPolicy retry;
   /// Submission-time replica selection (see ReplicaPolicy). Balanced
   /// submissions are rewritten copies of the client's plan; recovery
   /// re-planned trees are submitted as-is.
   ReplicaPolicy replica_policy = ReplicaPolicy::kFirstCopy;
-  /// Emit one wide-event record per query (DriverResult::query_log,
+  /// Emit one wide-event record per query (LoopResult::query_log,
   /// workload/querylog.h). Forces span and actuals collection on the run's
   /// SystemConfig copy -- both are pure observation, so simulation results
   /// are unchanged (bit-identical; asserted by tests).
@@ -119,40 +108,55 @@ struct DriverConfig {
   std::string policy_label;
 };
 
+/// Parameters of a closed-loop multi-client run.
+struct DriverConfig : LoopConfig {
+  /// Completions each client contributes before retiring.
+  int queries_per_client = 10;
+  /// Mean of the exponential think time between a query's completion and
+  /// the client's next submission, ms. Zero thinks are skipped entirely
+  /// (the next query is submitted at the completion instant).
+  double think_time_mean_ms = 0.0;
+  /// Completions (in global completion order) discarded as warmup before
+  /// steady-state estimation starts.
+  int warmup_queries = 0;
+  /// Crash detection/retry behavior; only consulted when the SystemConfig
+  /// carries a fault schedule.
+  RetryPolicy retry;
+};
+
 /// One completed query, in global completion order.
 struct Completion {
-  int ticket = 0;        // index into DriverResult::per_query
+  int ticket = 0;        // index into LoopResult::per_query
   SiteId client = 0;     // home client
+  /// Open loop: the arrival. Closed loop: the instant the client issued
+  /// the query, before crash retries.
+  double arrival_ms = 0.0;
   double submit_ms = 0.0;
   double complete_ms = 0.0;
 };
 
-/// Results of a closed-loop run.
-struct DriverResult {
+/// Results both workload drivers report.
+struct LoopResult {
   /// Per-query attributed metrics, indexed by ticket (submission order).
   std::vector<ExecMetrics> per_query;
-  /// Home client of each ticket.
-  std::vector<SiteId> query_client;
   /// All completions in global completion order (warmup included).
   std::vector<Completion> completions;
   /// System-wide resource totals over the whole run (warmup included).
   BatchTotals totals;
-  /// Time of the last completion, ms.
+  /// Time of the last completion (0 when nothing completed), ms.
   double makespan_ms = 0.0;
   /// Run-level bottleneck attribution (queueing vs service against the
   /// run's shared resource totals), populated only when the SystemConfig
-  /// set collect_operator_actuals. On faulted runs, queries that executed
-  /// a recovery re-planned tree are skipped (their actuals no longer align
-  /// with the submitted plan).
+  /// set collect_operator_actuals. Each query counts against the plan it
+  /// executed: the balanced variant or a recovery re-planned tree.
   BottleneckReport bottleneck;
-  /// Wide-event records in global completion order; populated only when
-  /// DriverConfig::collect_query_log is set. response_ms runs from submit
-  /// (the closed loop's metric); crash retries are surfaced per attempt.
+  /// Wide-event records of completed queries in global completion order,
+  /// populated only when collect_query_log is set.
   std::vector<QueryLogRecord> query_log;
 
   // --- Steady-state estimates over the post-warmup window ---
   /// End of the warmup window: completion time of the last discarded
-  /// query (0 when warmup_queries == 0).
+  /// query (0 without warmup).
   double warmup_end_ms = 0.0;
   /// Number of measured (post-warmup) completions.
   int measured = 0;
@@ -165,6 +169,13 @@ struct DriverResult {
   double response_ci90_ms = 0.0;
   /// The batch means themselves (one sample per batch).
   RunningStat batch_means;
+};
+
+/// Results of a closed-loop run. Response time runs from submission;
+/// query-log records surface crash retries per attempt.
+struct DriverResult : LoopResult {
+  /// Home client of each ticket.
+  std::vector<SiteId> query_client;
 
   // --- Fault injection & recovery (all zero/empty on healthy runs) ------
   /// Aborted submission attempts per ticket (a query submitted first try
@@ -262,41 +273,23 @@ struct AdmissionControl {
 
 /// Parameters of an open-loop run. Arrivals are generated in
 /// [0, duration_ms); the run then drains whatever is in flight.
-struct OpenLoopConfig {
+struct OpenLoopConfig : LoopConfig {
   ArrivalProcessConfig arrival;
   AdmissionControl admission;
   double duration_ms = 10'000.0;
   /// Completions (in completion order) discarded as warmup.
   int warmup_completions = 0;
-  /// Batch count for batch-means response-time estimation.
-  int num_batches = 10;
-  uint64_t seed = 0;
-  /// Submission-time replica selection (see ReplicaPolicy).
-  ReplicaPolicy replica_policy = ReplicaPolicy::kFirstCopy;
-  /// Emit one wide-event record per arrival (OpenLoopResult::query_log):
-  /// completed queries carry their critical path plus an "admission"
-  /// segment for the arrival -> dispatch wait; aborted and shed arrivals
-  /// get records too. Forces span and actuals collection (pure
-  /// observation; results bit-identical).
-  bool collect_query_log = false;
-  /// Policy label stamped into query-log records; empty uses
-  /// ToString(replica_policy).
-  std::string policy_label;
 };
 
-/// One completed open-loop query, in global completion order. Response
-/// time is measured from *arrival* (admission wait included); submit_ms -
-/// arrival_ms is the admission-queue wait.
-struct OpenLoopCompletion {
-  int ticket = 0;
-  SiteId client = 0;
-  double arrival_ms = 0.0;
-  double submit_ms = 0.0;
-  double complete_ms = 0.0;
-};
+/// Open-loop completions carry the arrival: submit_ms - arrival_ms is the
+/// admission-queue wait, and response time is measured from arrival.
+using OpenLoopCompletion = Completion;
 
-/// Results of an open-loop run.
-struct OpenLoopResult {
+/// Results of an open-loop run. Response time runs from arrival, so
+/// admission-queue waits are part of it. Completed queries' log records
+/// open with an "admission" segment, and records of aborted, then shed,
+/// arrivals (each in event order) follow them.
+struct OpenLoopResult : LoopResult {
   /// Arrival accounting: arrivals = dispatched + shed + aborted, and every
   /// dispatched query completes (completed == dispatched).
   int64_t arrivals = 0;
@@ -305,37 +298,8 @@ struct OpenLoopResult {
   int64_t aborted = 0;
   int64_t completed = 0;
 
-  /// Per-query attributed metrics, indexed by ticket (dispatch order).
-  std::vector<ExecMetrics> per_query;
-  /// All completions in global completion order (warmup included).
-  std::vector<OpenLoopCompletion> completions;
-  /// Whole-run resource totals (warmup included).
-  BatchTotals totals;
-  /// Time of the last completion (0 when nothing completed), ms.
-  double makespan_ms = 0.0;
   /// Offered load: arrivals per second over [0, duration_ms).
   double offered_qps = 0.0;
-  /// Run-level bottleneck attribution, populated only when the
-  /// SystemConfig set collect_operator_actuals: names the dominant
-  /// (resource, site, queueing-vs-service) triple of the whole run.
-  BottleneckReport bottleneck;
-  /// Wide-event records, populated only when
-  /// OpenLoopConfig::collect_query_log is set: completed queries first (in
-  /// completion order, response measured from arrival), then aborted
-  /// arrivals, then shed arrivals (each in event order).
-  std::vector<QueryLogRecord> query_log;
-
-  // --- Steady-state estimates over the post-warmup window ---
-  double warmup_end_ms = 0.0;
-  int measured = 0;
-  /// Measured completions per second of virtual time.
-  double throughput_qps = 0.0;
-  /// Mean arrival-to-completion time over measured completions, ms.
-  double mean_response_ms = 0.0;
-  /// 90% confidence half-width from batch means (0 with fewer than two
-  /// batches).
-  double response_ci90_ms = 0.0;
-  RunningStat batch_means;
   /// Mean admission-queue wait (arrival to dispatch) over measured
   /// completions, ms.
   double mean_queue_wait_ms = 0.0;

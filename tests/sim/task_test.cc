@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
-#include "sim/sync.h"
 
 namespace dimsum::sim {
 namespace {
@@ -74,64 +73,6 @@ TEST(TaskTest, UnspawnedProcessIsDestroyedCleanly) {
   }
   sim.Run();
   EXPECT_TRUE(times.empty());
-}
-
-Process WaitForSignal(Simulator& sim, Signal& signal, double* when) {
-  co_await signal.Wait();
-  *when = sim.now();
-}
-
-Process SetSignalAt(Simulator& sim, Signal& signal, double at) {
-  co_await sim.Delay(at);
-  signal.Set();
-}
-
-TEST(TaskTest, SignalWakesAllWaiters) {
-  Simulator sim;
-  Signal signal(sim);
-  double w1 = -1.0;
-  double w2 = -1.0;
-  sim.Spawn(WaitForSignal(sim, signal, &w1));
-  sim.Spawn(WaitForSignal(sim, signal, &w2));
-  sim.Spawn(SetSignalAt(sim, signal, 7.5));
-  sim.Run();
-  EXPECT_EQ(w1, 7.5);
-  EXPECT_EQ(w2, 7.5);
-}
-
-TEST(TaskTest, SignalAlreadySetDoesNotSuspend) {
-  Simulator sim;
-  Signal signal(sim);
-  signal.Set();
-  double when = -1.0;
-  sim.Spawn(WaitForSignal(sim, signal, &when));
-  sim.Run();
-  EXPECT_EQ(when, 0.0);
-}
-
-Process DecrementLater(Simulator& sim, ZeroCounter& counter, double at) {
-  co_await sim.Delay(at);
-  counter.Decrement();
-}
-
-Process AwaitZero(Simulator& sim, ZeroCounter& counter, double* when) {
-  co_await counter.AwaitZero();
-  *when = sim.now();
-}
-
-TEST(TaskTest, ZeroCounterBarrier) {
-  Simulator sim;
-  ZeroCounter counter(sim);
-  counter.Increment();
-  counter.Increment();
-  counter.Increment();
-  double when = -1.0;
-  sim.Spawn(AwaitZero(sim, counter, &when));
-  sim.Spawn(DecrementLater(sim, counter, 1.0));
-  sim.Spawn(DecrementLater(sim, counter, 5.0));
-  sim.Spawn(DecrementLater(sim, counter, 3.0));
-  sim.Run();
-  EXPECT_EQ(when, 5.0);
 }
 
 Task<std::string> MakeString() { co_return std::string("hello"); }

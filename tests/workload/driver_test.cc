@@ -245,5 +245,21 @@ TEST(DriverDeathTest, MisboundPlanFails) {
                "displays elsewhere");
 }
 
+TEST(DriverDeathTest, NegativeWarmupFails) {
+  // A negative cut would start the measured window before the first
+  // completion.
+  Catalog catalog = MultiClientCatalog(1, 2);
+  QueryGraph query = QueryGraph::Chain({0, 1});
+  SystemConfig config;
+  config.num_servers = 1;
+  Plan plan = QsJoin(0, 1);
+  BindSites(plan, catalog);
+  DriverConfig driver;
+  driver.warmup_queries = -1;
+  EXPECT_DEATH(
+      RunClosedLoop({ClientWorkload{&plan, &query}}, catalog, config, driver),
+      "warmup_queries");
+}
+
 }  // namespace
 }  // namespace dimsum

@@ -7,6 +7,7 @@
 
 #include "common/thread_pool.h"
 #include "cost/cost_model.h"
+#include "opt/cost_cache.h"
 #include "opt/optimizer.h"
 #include "plan/binding.h"
 #include "plan/plan.h"
@@ -134,6 +135,45 @@ TEST(FaultDriverTest, RetryBookkeepingIsConsistent) {
   EXPECT_EQ(result.healthy_response_ms.count() +
                 result.degraded_response_ms.count(),
             result.measured);
+  // A query arrives when its client issues it; only aborted attempts
+  // separate the arrival from the submission.
+  for (const Completion& c : result.completions) {
+    EXPECT_LE(c.arrival_ms, c.submit_ms);
+    EXPECT_EQ(c.arrival_ms == c.submit_ms,
+              result.retries_per_query[c.ticket] == 0)
+        << "ticket " << c.ticket;
+  }
+}
+
+TEST(FaultDriverTest, ReplannedQueriesAreAttributedToThePlanTheyRan) {
+  // The server is down for the whole run, so every client re-plans its
+  // server join onto its warm cache and never touches the server. The
+  // query log and the bottleneck must describe those client plans.
+  const SiteId server = ServerSite(0, kClients);
+  FaultRun run(/*warm_cache=*/true, /*server_plan=*/true,
+               /*reoptimize=*/true,
+               "crash:site=" + std::to_string(server) + ",at=0,for=100000");
+  run.config.collect_operator_actuals = true;
+  run.driver.collect_query_log = true;
+  const DriverResult result = run.Run();
+  ASSERT_GE(result.total_reopts, 1);
+
+  ASSERT_EQ(result.query_log.size(), result.completions.size());
+  for (const QueryLogRecord& record : result.query_log) {
+    const Plan& compiled = run.plans[record.client];  // client c is site c
+    EXPECT_NE(record.plan_signature, HashPlanSignature(PlanSignature(compiled)))
+        << "ticket " << record.ticket;
+    for (const SiteId site : record.fanout) {
+      EXPECT_NE(site, server) << "ticket " << record.ticket;
+    }
+  }
+  EXPECT_EQ(result.bottleneck.queries,
+            static_cast<int>(result.completions.size()));
+  ASSERT_FALSE(result.bottleneck.empty());
+  for (const BottleneckBucket& bucket : result.bottleneck.buckets) {
+    EXPECT_GE(bucket.site, 0) << ToString(bucket.resource);
+    EXPECT_LT(bucket.site, kClients) << ToString(bucket.resource);
+  }
 }
 
 TEST(FaultDriverTest, ShippingPoliciesDegradeAsThePaperPredicts) {

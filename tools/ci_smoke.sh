@@ -16,6 +16,7 @@
 #   scaleout       replica scale-out sweep + monotonicity assert
 #   sharding       sharding-vs-replication acceptance + unsharded CLI diff
 #   taillat        tail-latency observatory sweep + attribution gate
+#   perfbench      wall-clock benchmark self-test + pinned seed-1 digests
 #   check          validate every BENCH_*.json artifact structure
 #   perf           gate BENCH_*.json against committed baselines
 #
@@ -175,6 +176,32 @@ suite_taillat() {
   echo "CLI output identical with and without --query-log"
 }
 
+suite_perfbench() {
+  # perfbench/ builds its own Release tree under .bench_build/, so this
+  # suite runs from the repository root. Each workload's cycle-0 output
+  # digest on seed 1 must equal the committed value: a change that alters
+  # an output on purpose updates the value here and says why in CHANGES.md.
+  local -A expected=(
+    [fig08_mix]=8c47b6008723e81f
+    [openloop_1k]=48ef099d8eca625f
+    [tail_querylog]=7a7cb9841845261e
+    [closed_faults]=eafe99f2847700e4
+  )
+  (cd "$REPO_ROOT" && python3 perfbench/selftest.py)
+  local workload line
+  for workload in fig08_mix openloop_1k tail_querylog closed_faults; do
+    line=$(cd "$REPO_ROOT" && python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 1 --trace 0 |
+      grep "^digest $workload seed 1 cycle 0 ")
+    echo "$line"
+    if [[ "${line##* }" != "${expected[$workload]}" ]]; then
+      echo "perfbench $workload: digest ${line##* }," \
+        "expected ${expected[$workload]}" >&2
+      return 1
+    fi
+  done
+}
+
 suite_check() {
   python3 "$REPO_ROOT/tools/check_bench.py" \
     BENCH_optimizer.json BENCH_observability.json \
@@ -202,10 +229,10 @@ suite_perf() {
 }
 
 ALL_SUITES=(threads observability explain multiclient faults kernel
-            openloop scaleout sharding taillat check perf)
+            openloop scaleout sharding taillat perfbench check perf)
 
 usage() {
-  sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 suites=()
