@@ -3,9 +3,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "common/check.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 
 namespace dimsum {
@@ -73,7 +73,7 @@ class BufferPool {
   sim::Simulator& sim_;
   int64_t total_frames_;
   int64_t free_frames_;
-  std::deque<Waiter> waiters_;
+  sim::Fifo<Waiter> waiters_;
 };
 
 }  // namespace dimsum

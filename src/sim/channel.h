@@ -2,11 +2,11 @@
 #define DIMSUM_SIM_CHANNEL_H_
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "common/check.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 
 namespace dimsum::sim {
@@ -125,9 +125,9 @@ class Channel {
   Simulator& sim_;
   size_t capacity_;
   bool closed_ = false;
-  std::deque<T> buffer_;
-  std::deque<Putter> putters_;
-  std::deque<Getter> getters_;
+  Fifo<T> buffer_;
+  Fifo<Putter> putters_;
+  Fifo<Getter> getters_;
 };
 
 }  // namespace dimsum::sim

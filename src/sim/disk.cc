@@ -13,6 +13,13 @@ Disk::Disk(Simulator& sim, std::string name, const DiskParams& params)
   DIMSUM_CHECK_GE(params_.pages_per_cylinder, params_.pages_per_track);
   DIMSUM_CHECK_GT(params_.num_cylinders, 0);
   DIMSUM_CHECK_GT(params_.rotation_ms, 0.0);
+  // NaN fails these; with no write admitted, Write would block forever.
+  DIMSUM_CHECK_GE(params_.settle_ms, 0.0);
+  DIMSUM_CHECK_GE(params_.seek_factor_ms, 0.0);
+  DIMSUM_CHECK_GE(params_.controller_overhead_ms, 0.0);
+  DIMSUM_CHECK_GE(params_.readahead_pages, 0);
+  DIMSUM_CHECK_GE(params_.cache_pages, 0);
+  DIMSUM_CHECK_GE(params_.max_pending_writes, 1);
 }
 
 void Disk::ResetStats() {
@@ -35,11 +42,10 @@ void Disk::SubmitRead(int64_t block, std::coroutine_handle<> handle,
   DIMSUM_CHECK_GE(block, 0);
   DIMSUM_CHECK_LT(block, params_.total_pages());
   ++reads_;
-  auto it = cache_.find(block);
-  if (it != cache_.end()) {
+  if (const auto* page = CacheFind(block)) {
     // Controller cache hit: served without the arm.
     ++cache_hits_;
-    const double wait = std::max(0.0, it->second - sim_.now());
+    const double wait = std::max(0.0, page->second - sim_.now());
     if (stats != nullptr) {
       stats->wait_ms += wait;
       stats->service_ms +=
@@ -50,7 +56,7 @@ void Disk::SubmitRead(int64_t block, std::coroutine_handle<> handle,
                      {{"block", static_cast<double>(block)},
                       {"wait_ms", wait}});
     }
-    ExtendReadAhead(block, std::max(it->second, sim_.now()));
+    ExtendReadAhead(block, std::max(page->second, sim_.now()));
     sim_.Resume(
         wait + params_.transfer_ms() + params_.controller_overhead_ms,
         handle);
@@ -65,14 +71,8 @@ void Disk::SubmitWrite(int64_t block) {
   ++writes_;
   ++pending_writes_;
   // A write makes any cached copy of this page stale.
-  if (cache_.erase(block) > 0) {
-    for (auto it = cache_fifo_.begin(); it != cache_fifo_.end(); ++it) {
-      if (*it == block) {
-        cache_fifo_.erase(it);
-        break;
-      }
-    }
-  }
+  std::erase_if(cache_,
+                [block](const auto& page) { return page.first == block; });
   EnqueueArm(ArmRequest{block, /*is_write=*/true, {}, sim_.now()});
 }
 
@@ -234,33 +234,28 @@ void Disk::ExtendReadAhead(int64_t block, double from_time) {
 
 void Disk::AbortPendingReadAhead() {
   if (stream_next_ >= 0) ++readahead_aborts_;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second > sim_.now()) {
-      const int64_t block = it->first;
-      it = cache_.erase(it);
-      for (auto fifo = cache_fifo_.begin(); fifo != cache_fifo_.end(); ++fifo) {
-        if (*fifo == block) {
-          cache_fifo_.erase(fifo);
-          break;
-        }
-      }
-    } else {
-      ++it;
-    }
-  }
+  const double now = sim_.now();
+  std::erase_if(cache_, [now](const auto& page) { return page.second > now; });
   stream_next_ = -1;
 }
 
+std::pair<int64_t, double>* Disk::CacheFind(int64_t block) {
+  // Newest first: a streaming reader's prefetched pages sit at the back.
+  for (auto it = cache_.rbegin(); it != cache_.rend(); ++it) {
+    if (it->first == block) return &*it;
+  }
+  return nullptr;
+}
+
 void Disk::CacheInsert(int64_t block, double available_at) {
-  auto [it, inserted] = cache_.emplace(block, available_at);
-  if (!inserted) {
-    it->second = std::min(it->second, available_at);
+  if (auto* page = CacheFind(block)) {
+    page->second = std::min(page->second, available_at);
     return;
   }
-  cache_fifo_.push_back(block);
-  while (static_cast<int>(cache_fifo_.size()) > params_.cache_pages) {
-    cache_.erase(cache_fifo_.front());
-    cache_fifo_.pop_front();
+  // One insert overflows the cache by at most one page: evict the oldest.
+  cache_.emplace_back(block, available_at);
+  if (cache_.size() > static_cast<std::size_t>(params_.cache_pages)) {
+    cache_.erase(cache_.begin());
   }
 }
 

@@ -3,12 +3,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 #include "sim/span.h"
 
@@ -198,6 +199,7 @@ class Disk {
   ArmService ArmServiceTime(int64_t block) const;
   void ExtendReadAhead(int64_t block, double from_time);
   void AbortPendingReadAhead();
+  std::pair<int64_t, double>* CacheFind(int64_t block);
   void CacheInsert(int64_t block, double available_at);
 
   int Cylinder(int64_t block) const {
@@ -222,15 +224,15 @@ class Disk {
   ArmService arm_service_{};
   double arm_start_ = 0.0;
 
-  // Controller cache: block -> time the page is (or becomes) available.
-  std::map<int64_t, double> cache_;
-  std::deque<int64_t> cache_fifo_;
+  // Controller cache: (block, time the page is or becomes available) for
+  // at most cache_pages blocks, oldest insert first, evicted FIFO.
+  std::vector<std::pair<int64_t, double>> cache_;
   int64_t stream_next_ = -1;   // next block the read-ahead stream will load
   double stream_time_ = 0.0;   // when stream_next_ becomes available
 
   // Write-behind bookkeeping.
   int pending_writes_ = 0;
-  std::deque<WriteWaiter> write_waiters_;
+  Fifo<WriteWaiter> write_waiters_;
   std::vector<std::coroutine_handle<>> flush_waiters_;
 
   uint64_t reads_ = 0;

@@ -3,10 +3,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "common/metrics.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 #include "sim/span.h"
 
@@ -99,7 +99,7 @@ class Resource {
   Request in_service_{};
   double in_service_wait_ = 0.0;
   double in_service_start_ = 0.0;
-  std::deque<Request> queue_;
+  Fifo<Request> queue_;
   uint64_t total_requests_ = 0;
   double busy_ms_ = 0.0;
   double wait_ms_ = 0.0;

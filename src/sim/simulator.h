@@ -17,10 +17,11 @@ class TraceSink;
 
 /// Discrete-event simulation kernel.
 ///
-/// Keeps a virtual clock (milliseconds) and a binary heap of events (see
-/// sim/event_queue.h). Events are either coroutine resumptions or plain
-/// callbacks, stored inline without heap allocation (sim/event.h). Ties
-/// are broken by insertion order, so runs are fully deterministic.
+/// Keeps a virtual clock (milliseconds) and a binary heap of events with
+/// a FIFO lane for events due now (see sim/event_queue.h). Events are
+/// either coroutine resumptions or plain callbacks, stored inline without
+/// heap allocation (sim/event.h). Ties are broken by insertion order, so
+/// runs are fully deterministic.
 class Simulator {
  public:
   Simulator() = default;
@@ -132,7 +133,12 @@ class Simulator {
   void Push(double time, Event& ev) {
     ev.time = time;
     ev.seq = next_seq_++;
-    queue_.Push(ev);
+    // An event due now skips the heap (see EventQueue::PushLane).
+    if (time == now_) {
+      queue_.PushLane(ev);
+    } else {
+      queue_.Push(ev);
+    }
     if (queue_.size() > peak_depth_) peak_depth_ = queue_.size();
   }
 

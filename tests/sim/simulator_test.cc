@@ -29,13 +29,20 @@ TEST(SimulatorTest, CallbacksRunInTimeOrder) {
 }
 
 TEST(SimulatorTest, TiesBreakByInsertionOrder) {
+  // Ten callbacks at t = 3, each scheduling a zero-delay follow-up: the
+  // follow-ups (same-instant lane) run after all ten (heap), in order.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.Call(3.0, [&order, i] { order.push_back(i); });
+    sim.Call(3.0, [&sim, &order, i] {
+      order.push_back(i);
+      sim.Call(0.0, [&order, i] { order.push_back(10 + i); });
+    });
   }
   sim.Run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  ASSERT_EQ(order.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(sim.now(), 3.0);
 }
 
 TEST(SimulatorTest, NestedSchedulingAdvancesClock) {
@@ -142,12 +149,15 @@ TEST(SimulatorTest, KernelCountersTrackQueueActivity) {
   Simulator sim;
   EXPECT_EQ(sim.peak_queue_depth(), 0u);
   for (int i = 0; i < 5; ++i) sim.Call(static_cast<double>(i + 1), [] {});
-  EXPECT_EQ(sim.queue_depth(), 5u);
-  EXPECT_EQ(sim.peak_queue_depth(), 5u);
+  // Zero-delay events at t = 0 wait in the same-instant lane; the depth
+  // counts them too.
+  for (int i = 0; i < 3; ++i) sim.Call(0.0, [] {});
+  EXPECT_EQ(sim.queue_depth(), 8u);
+  EXPECT_EQ(sim.peak_queue_depth(), 8u);
   sim.Run();
   EXPECT_EQ(sim.queue_depth(), 0u);
-  EXPECT_EQ(sim.peak_queue_depth(), 5u);  // high-water mark sticks
-  EXPECT_EQ(sim.processed_events(), 5u);
+  EXPECT_EQ(sim.peak_queue_depth(), 8u);  // high-water mark sticks
+  EXPECT_EQ(sim.processed_events(), 8u);
 }
 
 TEST(SimulatorTest, ZeroDelayRunsAtCurrentTime) {
