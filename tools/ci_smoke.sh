@@ -16,7 +16,7 @@
 #   scaleout       replica scale-out sweep + monotonicity assert
 #   sharding       sharding-vs-replication acceptance + unsharded CLI diff
 #   taillat        tail-latency observatory sweep + attribution gate
-#   perfbench      wall-clock benchmark self-test + pinned seed-1 digests
+#   perfbench      wall-clock benchmark self-test + pinned seed 1-10 digests
 #   check          validate every BENCH_*.json artifact structure
 #   perf           gate BENCH_*.json against committed baselines
 #
@@ -179,26 +179,45 @@ suite_taillat() {
 suite_perfbench() {
   # perfbench/ builds its own Release tree under .bench_build/, so this
   # suite runs from the repository root. Each workload's cycle-0 output
-  # digest on seed 1 must equal the committed value: a change that alters
-  # an output on purpose updates the value here and says why in CHANGES.md.
+  # digest on seeds 1-10 must equal the committed value: a change that
+  # alters an output on purpose updates the values here and says why in
+  # CHANGES.md.
   local -A expected=(
-    [fig08_mix]=8c47b6008723e81f
-    [openloop_1k]=48ef099d8eca625f
-    [tail_querylog]=7a7cb9841845261e
-    [closed_faults]=eafe99f2847700e4
+    [fig08_mix:1]=8c47b6008723e81f [openloop_1k:1]=48ef099d8eca625f
+    [tail_querylog:1]=7a7cb9841845261e [closed_faults:1]=eafe99f2847700e4
+    [fig08_mix:2]=98c1ece3bea33d54 [openloop_1k:2]=4fa2af5835fed7de
+    [tail_querylog:2]=4e0c20d01af45e2c [closed_faults:2]=b4c69fbbb9841b64
+    [fig08_mix:3]=950650b0e543bc9c [openloop_1k:3]=2dbb4b9f48d6e804
+    [tail_querylog:3]=06ca8ea2a9659a12 [closed_faults:3]=bc11d9f24b041ed5
+    [fig08_mix:4]=b3781b72d573f719 [openloop_1k:4]=9839587f187e8e2c
+    [tail_querylog:4]=01445752c4af9510 [closed_faults:4]=1637857f55fdba71
+    [fig08_mix:5]=6f87648ce9a444a8 [openloop_1k:5]=e98fb1f72ac4d819
+    [tail_querylog:5]=45cb658b0d53ea94 [closed_faults:5]=eeb93628705a906f
+    [fig08_mix:6]=212794014aef1580 [openloop_1k:6]=a0d498695a74e8bd
+    [tail_querylog:6]=14bd41e1b518be04 [closed_faults:6]=dc2c9b243c0f9d37
+    [fig08_mix:7]=0cbc9dd359cedea2 [openloop_1k:7]=d008476fa6467054
+    [tail_querylog:7]=f2d5f27baff757b6 [closed_faults:7]=6a22c936f65041e3
+    [fig08_mix:8]=79dbc638f270fb5a [openloop_1k:8]=f7e03577ec4edbe3
+    [tail_querylog:8]=6476057197c0c65a [closed_faults:8]=4dda83721787bf49
+    [fig08_mix:9]=3ec38be6b906d91b [openloop_1k:9]=baf6792f1ddb6649
+    [tail_querylog:9]=46a8f6ecfb389b5b [closed_faults:9]=4fd45b86d78a3f2b
+    [fig08_mix:10]=c0411322e1025d12 [openloop_1k:10]=6573533b48b2e652
+    [tail_querylog:10]=a14ae54a1e582c7b [closed_faults:10]=5b00aa95c22ea068
   )
   (cd "$REPO_ROOT" && python3 perfbench/selftest.py)
-  local workload line
-  for workload in fig08_mix openloop_1k tail_querylog closed_faults; do
-    line=$(cd "$REPO_ROOT" && python3 perfbench/run.py --workload "$workload" \
-      --seed 1 --seconds 1 --trace 0 |
-      grep "^digest $workload seed 1 cycle 0 ")
-    echo "$line"
-    if [[ "${line##* }" != "${expected[$workload]}" ]]; then
-      echo "perfbench $workload: digest ${line##* }," \
-        "expected ${expected[$workload]}" >&2
-      return 1
-    fi
+  local seed workload line
+  for seed in 1 2 3 4 5 6 7 8 9 10; do
+    for workload in fig08_mix openloop_1k tail_querylog closed_faults; do
+      line=$(cd "$REPO_ROOT" && python3 perfbench/run.py \
+        --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
+        grep "^digest $workload seed $seed cycle 0 ")
+      echo "$line"
+      if [[ "${line##* }" != "${expected[$workload:$seed]}" ]]; then
+        echo "perfbench $workload seed $seed: digest ${line##* }," \
+          "expected ${expected[$workload:$seed]}" >&2
+        return 1
+      fi
+    done
   done
 }
 
