@@ -21,6 +21,7 @@
 #include "exec/executor.h"
 #include "exec/metrics.h"
 #include "plan/binding.h"
+#include "sim/fault.h"
 #include "sim/span.h"
 #include "sim/trace.h"
 
@@ -221,6 +222,38 @@ sim::QuerySpans MakeEnvelope(double start, double complete, int num_ops) {
   q.root_op = 0;
   q.num_ops = num_ops;
   return q;
+}
+
+/// Fault-stall sites of one query: a scan of a 100-page relation on
+/// server site 1, which is down for the first 500 ms.
+std::set<std::string> FaultLabelsWhileServerIsDown(SiteAnnotation scan) {
+  Catalog catalog;
+  catalog.AddRelation("R0", 4000, 100);
+  catalog.PlaceRelation(0, ServerSite(0));
+  const QueryGraph query = QueryGraph::Chain({0});
+  Plan plan(MakeDisplay(MakeScan(0, scan)));
+  BindSites(plan, catalog);
+  const sim::FaultSchedule faults =
+      sim::ParseFaultSpec("crash:site=1,at=0,for=500");
+  SystemConfig config;
+  config.faults = &faults;
+  config.collect_spans = true;
+  sim::QuerySpans spans;
+  ExecutePlan(plan, catalog, query, config, /*seed=*/0, &spans);
+  std::set<std::string> labels;
+  for (const PathSegment& segment : ExtractCriticalPath(spans).segments) {
+    if (segment.kind == PathKind::kFaultStall) labels.insert(segment.Label());
+  }
+  return labels;
+}
+
+TEST(SpanTest, FaultStallNamesTheSiteWaitedOn) {
+  // A client scan faulting pages in from the crashed server waits on the
+  // server, exactly as a scan at the server itself does.
+  const std::set<std::string> expected = {"fault@1"};
+  EXPECT_EQ(FaultLabelsWhileServerIsDown(SiteAnnotation::kPrimaryCopy),
+            expected);
+  EXPECT_EQ(FaultLabelsWhileServerIsDown(SiteAnnotation::kClient), expected);
 }
 
 TEST(CriticalPathWalkTest, EmptySpansAttributeEverythingUntracked) {
