@@ -138,13 +138,6 @@ struct SiteRuntime {
     return DiskExtent{disk_index, spaces[disk_index].AllocateBase(pages)};
   }
 
-  /// Allocates a temp extent, striping across the site's disks.
-  DiskExtent AllocateTemp(int64_t pages) {
-    const int d = next_temp_disk_;
-    next_temp_disk_ = (next_temp_disk_ + 1) % num_disks();
-    return AllocateTempOn(d, pages);
-  }
-
   /// Allocates a temp extent on a specific disk (modulo the disk count);
   /// used to stripe join partitions so that a partition's build and probe
   /// halves share an arm while different partitions use different arms.
@@ -164,9 +157,6 @@ struct SiteRuntime {
   std::vector<std::unique_ptr<sim::Disk>> disks;
   std::vector<DiskSpace> spaces;
   BufferPool memory;
-
- private:
-  int next_temp_disk_ = 0;
 };
 
 /// The simulated cluster: `num_clients` clients (sites 0..num_clients-1),
@@ -211,10 +201,6 @@ class ExecSystem {
   /// the catalog caches a non-zero prefix there).
   DiskExtent CacheExtent(SiteId client, RelationId id) const {
     return cache_extents_.at({client, id});
-  }
-  /// Single-client convenience: the cached prefix at client site 0.
-  DiskExtent CacheExtent(RelationId id) const {
-    return CacheExtent(kClientSite, id);
   }
 
  private:
