@@ -184,9 +184,9 @@ class ExecSession {
   struct QueryState;
 
   void AddWaiter(int ticket, std::coroutine_handle<> handle);
-  PageChannel& NewChannel();
+  PageChannel& NewChannel(int producer, int consumer);
   PageChannel& BuildNode(QueryState& state, const PlanNode& node,
-                         const PlanNode& consumer);
+                         const PlanNode& consumer, int consumer_op);
   void AttachTrace(sim::TraceSink& trace);
   void AttachHistograms();
   void AttachTelemetry(sim::TelemetrySampler& telemetry);

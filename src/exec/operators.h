@@ -1,9 +1,9 @@
 #ifndef DIMSUM_EXEC_OPERATORS_H_
 #define DIMSUM_EXEC_OPERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
@@ -19,7 +19,17 @@
 
 namespace dimsum {
 
-using PageChannel = sim::Channel<Page>;
+/// A pipeline edge between two operator processes. The executor sets the
+/// timeline ids of the processes at its ends when it creates the channel,
+/// so a process blocked on it can name the peer it waits for (the causal
+/// edge of a channel span, sim/span.h).
+struct PageChannel : sim::Channel<Page> {
+  PageChannel(sim::Simulator& sim, size_t capacity, int producer,
+              int consumer)
+      : Channel(sim, capacity), producer(producer), consumer(consumer) {}
+  const int producer;
+  const int consumer;
+};
 
 /// Shared state of one query execution, referenced by all operator
 /// processes. Owned by the executor; must outlive the simulation run.
@@ -33,17 +43,9 @@ struct ExecContext {
   /// Virtual time at which the query was submitted; response_ms is measured
   /// from here (0 for queries that start with the simulation).
   double start_ms = 0.0;
-  /// Set when the display operator has consumed the last result tuple;
-  /// read by the external load generator to wind down.
-  bool query_done = false;
   /// Invoked (if set) when the display operator finishes, at the query's
   /// completion time; used to resume closed-loop client processes.
   std::function<void()> on_done;
-
-  /// Multi-query batches: countdown of still-running queries and the flag
-  /// to raise when the whole batch is done (both may be null).
-  int* batch_remaining = nullptr;
-  bool* batch_done = nullptr;
 
   /// Fault oracle of the session (null on healthy runs; operators then take
   /// exactly their pre-fault code paths). Crashed sites stall new disk and
@@ -54,32 +56,15 @@ struct ExecContext {
   /// `faults` is non-null).
   const FaultTolerance* fault_tolerance = nullptr;
 
-  /// Pre-order plan-node ids, set (with metrics.operator_actuals sized to
-  /// match) only when the session collects per-operator actuals for
-  /// EXPLAIN ANALYZE.
-  const std::unordered_map<const PlanNode*, int>* op_ids = nullptr;
-
-  /// The operator's actuals record, or null when collection is off.
-  OperatorActual* Actual(const PlanNode& node) const {
-    return op_ids != nullptr ? &metrics.operator_actuals[op_ids->at(&node)]
-                             : nullptr;
-  }
-
   /// Per-query causal span set (null = capture off; see sim/span.h). Owned
   /// by the session's per-query state, never by ExecMetrics, so metrics
   /// stay bit-identical with capture on or off.
   sim::QuerySpans* spans = nullptr;
-  /// Channel endpoint registry for span capture: channel address ->
-  /// (producer timeline id, consumer timeline id). Built by the executor
-  /// alongside the operator pipeline; null when capture is off.
-  const std::unordered_map<const void*, std::pair<int, int>>* channel_ends =
-      nullptr;
-
-  /// The operator's span-timeline id, or -1 when capture is off.
-  int SpanOp(const PlanNode& node) const {
-    return spans != nullptr && op_ids != nullptr ? op_ids->at(&node) : -1;
-  }
 };
+
+// Each operator process takes its timeline id `op` from the executor: its
+// pre-order plan-node id, which also indexes its EXPLAIN record in
+// metrics.operator_actuals when the session collects actuals.
 
 /// Scan of a base relation (Volcano-style, page at a time).
 ///
@@ -88,32 +73,32 @@ struct ExecContext {
 /// remaining pages are faulted in from the relation's server with one
 /// synchronous request/response round trip per page (the paper's
 /// non-overlapped page faulting).
-sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& out);
 
 /// Applies the node's predicate; charges Compare per input tuple.
-sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node, int op,
                            PageChannel& in, PageChannel& out);
 
 /// Projects tuples to a narrower width; charges a move per output tuple.
-sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in, PageChannel& out);
 
 /// Hash aggregation: consumes its whole input (blocking), then emits the
 /// groups. Charges Hash + Compare per input tuple and a move per group.
 sim::Process AggregateProcess(ExecContext& ctx, const PlanNode& node,
-                              PageChannel& in, PageChannel& out);
+                              int op, PageChannel& in, PageChannel& out);
 
 /// External merge sort: consumes its whole input (blocking). Under
 /// minimum allocation, sorted runs are written to the site's temp region
 /// and merged back in a single pass; under maximum allocation the sort
 /// happens in memory. Charges Compare * log2(n) per tuple plus a move per
 /// output tuple.
-sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SortProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& in, PageChannel& out);
 
 /// Bag union: forwards the left input, then the right.
-sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node, int op,
                           PageChannel& left, PageChannel& right,
                           PageChannel& out);
 
@@ -123,33 +108,31 @@ sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
 /// input, probing the memory-resident part and spilling the rest; finally
 /// joins the spilled partition pairs. Memory is acquired from the site's
 /// buffer pool for the duration.
-sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node, int op,
                              PageChannel& inner, PageChannel& outer,
                              PageChannel& out);
 
 /// Root operator: consumes the result at the client, charges Display per
 /// tuple, records the response time, and flags query completion.
-sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in);
 
 /// Sending half of the network operator pair: charges send CPU at `from`,
 /// occupies the wire, counts the page, and forwards it. With capacity-1
 /// channels the producer stays about one page ahead of its consumer.
-/// `actual` (optional) is the consuming operator's EXPLAIN record; ship
-/// CPU and wire time accumulate there, mirroring the estimator.
-/// `span_op` is the send process's own span timeline (synthetic id past the
-/// plan operators; -1 when capture is off) and `flow_base` seeds the ids of
-/// the Perfetto flow arrows linking this sender's pages to the receiver.
-sim::Process NetSendProcess(ExecContext& ctx, SiteId from, PageChannel& in,
-                            PageChannel& wire,
-                            OperatorActual* actual = nullptr,
-                            int span_op = -1, uint64_t flow_base = 0);
+/// `op` is the send process's own timeline (a synthetic id past the plan
+/// operators); `record` is the consuming operator's id, whose EXPLAIN
+/// record gets the ship CPU and wire time, mirroring the estimator.
+/// `flow_base` seeds the ids of the Perfetto flow arrows linking this
+/// sender's pages to the receiver.
+sim::Process NetSendProcess(ExecContext& ctx, SiteId from, int op, int record,
+                            PageChannel& in, PageChannel& wire,
+                            uint64_t flow_base);
 
 /// Receiving half: charges receive CPU at `to` and forwards the page.
-sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, PageChannel& wire,
-                            PageChannel& out,
-                            OperatorActual* actual = nullptr,
-                            int span_op = -1, uint64_t flow_base = 0);
+sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, int op, int record,
+                            PageChannel& wire, PageChannel& out,
+                            uint64_t flow_base);
 
 /// External load: open-loop Poisson random single-page reads against a
 /// server's disks (the paper's model of additional clients), winding down

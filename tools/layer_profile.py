@@ -50,7 +50,7 @@ LAYERS = [
      r"\bdimsum::sim::Disk\b"),
     ("fault schedule (`sim/fault.cc`)", r"\bdimsum::sim::Fault"),
     ("actuals, spans, critical paths",
-     r"\bdimsum::(sim::)?(ActualProbe|OpSpan|QuerySpans|SpansByOp|"
+     r"\bdimsum::(sim::)?(OpProbe|QuerySpans|SpansByOp|"
      r"ExtractCriticalPath|CriticalPath\w*|Bottleneck\w*|Bucket\w*|"
      r"FinishReport|Span\w*|Trace\w*|Telemetry\w*)\b"),
     ("operators, channels and executor (`exec/`)",

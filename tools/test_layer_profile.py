@@ -26,7 +26,7 @@ Each sample counts as 0.01 seconds.
  10.00      0.60     0.10 10092541     0.00     0.00  dimsum::HashJoinProcess(dimsum::ExecContext&, dimsum::PlanNode const&, dimsum::sim::Channel<dimsum::Page>&, dimsum::sim::Channel<dimsum::Page>&)
  10.00      0.70     0.10  5200000     0.00     0.00  void dimsum::sim::Simulator::Call<dimsum::sim::Resource::Dispatch()::{lambda()#1}>(double, dimsum::sim::Resource::Dispatch()::{lambda()#1}&&)
   8.00      0.78     0.08  4150677     0.00     0.00  void std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> >::_M_realloc_insert<dimsum::sim::Event const&>(__gnu_cxx::__normal_iterator<dimsum::sim::Event*, std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> > >, dimsum::sim::Event const&)
-  7.00      0.85     0.07  5612800     0.00     0.00  dimsum::(anonymous namespace)::ActualProbe::Chan(double, dimsum::sim::Channel<dimsum::Page> const&, bool)
+  7.00      0.85     0.07  5612800     0.00     0.00  dimsum::(anonymous namespace)::OpProbe::Chan(double, int)
   5.00      0.90     0.05     4836     0.00     0.00  dimsum::EstimateTime(dimsum::Plan const&, dimsum::Catalog const&)
   4.00      0.94     0.04                             _init
   3.00      0.97     0.03   131456     0.00     0.00  dimsum::CostCache::Find(unsigned long, std::basic_string_view<char, std::char_traits<char> >) const
