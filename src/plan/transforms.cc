@@ -3,6 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -22,37 +25,36 @@ enum class MoveKind {
 };
 
 struct Candidate {
-  int node_index;  // pre-order index
   MoveKind kind;
-  SiteAnnotation annotation;  // for kAnnotation
-  int32_t replica = 0;        // for kReplica
+  SiteAnnotation annotation = SiteAnnotation::kClient;  // for kAnnotation
+  int32_t replica = 0;                                  // for kReplica
 };
 
-/// Visits every candidate move of the subtree rooted at `node`, whose
-/// pre-order slot index is `*index` (incremented per node), as
-/// `visit(candidate, node)`. Candidates come in a fixed order -- by slot
-/// in pre-order, then joins' reorderings, annotation changes and replica
-/// changes -- so a draw over them is reproducible.
+/// Calls `visit(candidate)` for each candidate move at `node`, in a fixed
+/// order -- join reorderings, then annotation changes, then replica
+/// changes -- until a call returns true. Returns whether one did.
 template <typename Visit>
-void VisitCandidates(const PlanNode& node, const TransformConfig& config,
-                     int* index, Visit& visit) {
-  const int i = (*index)++;
+bool VisitNodeCandidates(const PlanNode& node, const TransformConfig& config,
+                         Visit&& visit) {
   if (node.type == OpType::kJoin && config.join_order_moves) {
-    if (node.left->type == OpType::kJoin) {
-      visit(Candidate{i, MoveKind::kAssocLL, {}}, node);
-      visit(Candidate{i, MoveKind::kAssocLR, {}}, node);
+    if (node.left->type == OpType::kJoin &&
+        (visit(Candidate{MoveKind::kAssocLL}) ||
+         visit(Candidate{MoveKind::kAssocLR}))) {
+      return true;
     }
-    if (node.right->type == OpType::kJoin) {
-      visit(Candidate{i, MoveKind::kAssocRL, {}}, node);
-      visit(Candidate{i, MoveKind::kAssocRR, {}}, node);
+    if (node.right->type == OpType::kJoin &&
+        (visit(Candidate{MoveKind::kAssocRL}) ||
+         visit(Candidate{MoveKind::kAssocRR}))) {
+      return true;
     }
-    if (config.allow_commute) {
-      visit(Candidate{i, MoveKind::kCommute, {}}, node);
+    if (config.allow_commute && visit(Candidate{MoveKind::kCommute})) {
+      return true;
     }
   }
   for (SiteAnnotation annotation : config.space.AllowedFor(node.type)) {
-    if (annotation != node.annotation) {
-      visit(Candidate{i, MoveKind::kAnnotation, annotation}, node);
+    if (annotation != node.annotation &&
+        visit(Candidate{MoveKind::kAnnotation, annotation})) {
+      return true;
     }
   }
   if (node.type == OpType::kScan && config.catalog != nullptr) {
@@ -61,113 +63,117 @@ void VisitCandidates(const PlanNode& node, const TransformConfig& config,
     // shard-placement move; same move-7 gating).
     const int copies = config.catalog->ScanCopies(node.relation);
     for (int32_t r = 0; r < copies; ++r) {
-      if (r != node.replica) {
-        visit(Candidate{i, MoveKind::kReplica, {}, r}, node);
+      if (r != node.replica &&
+          visit(Candidate{MoveKind::kReplica, SiteAnnotation::kClient, r})) {
+        return true;
       }
     }
   }
-  if (node.left) VisitCandidates(*node.left, config, index, visit);
-  if (node.right) VisitCandidates(*node.right, config, index, visit);
+  return false;
 }
 
-/// Visits the candidates of the whole plan. Slot 0 is the display's child
-/// (the real plan root); the display itself is never transformed.
-template <typename Visit>
-void VisitCandidates(const Plan& plan, const TransformConfig& config,
-                     Visit visit) {
-  DIMSUM_CHECK(!plan.empty());
-  int index = 0;
-  if (plan.root()->left) {
-    VisitCandidates(*plan.root()->left, config, &index, visit);
-  }
+/// Calls `fn(node, parent)` for `node` and its subtree in pre-order until
+/// a call returns true. Returns whether one did.
+template <typename Node, typename Fn>
+bool WalkSubtree(Node& node, Node& parent, Fn& fn) {
+  if (fn(node, parent)) return true;
+  return (node.left && WalkSubtree(static_cast<Node&>(*node.left), node, fn)) ||
+         (node.right && WalkSubtree(static_cast<Node&>(*node.right), node, fn));
 }
 
-/// The owning slot at pre-order index `*remaining` below `slot`, or null
-/// when the subtree has fewer slots (`*remaining` is then reduced by its
-/// size).
-std::unique_ptr<PlanNode>* FindSlot(std::unique_ptr<PlanNode>& slot,
-                                    int* remaining) {
-  if (slot == nullptr) return nullptr;
-  if ((*remaining)-- == 0) return &slot;
-  if (auto* found = FindSlot(slot->left, remaining)) return found;
-  return FindSlot(slot->right, remaining);
+/// Walks the plan below its display, whose child is the real plan root;
+/// the display itself is never transformed.
+template <typename Node, typename Fn>
+bool WalkBelowDisplay(Node& display, Fn fn) {
+  return display.left &&
+         WalkSubtree(static_cast<Node&>(*display.left), display, fn);
 }
 
-void ApplyMove(Plan& plan, const Candidate& candidate) {
-  int remaining = candidate.node_index;
-  std::unique_ptr<PlanNode>* slot = FindSlot(plan.root()->left, &remaining);
-  DIMSUM_CHECK(slot != nullptr);
-  PlanNode& node = **slot;
+/// Maps an internal candidate to the paper-facing move numbering; `node`
+/// is the candidate's target (needed to split moves 5-7 by operator type).
+MoveType CandidateMoveType(const Candidate& candidate, const PlanNode& node) {
   switch (candidate.kind) {
+    case MoveKind::kAssocLL: return MoveType::kAssocLL;
+    case MoveKind::kAssocLR: return MoveType::kAssocLR;
+    case MoveKind::kAssocRL: return MoveType::kAssocRL;
+    case MoveKind::kAssocRR: return MoveType::kAssocRR;
+    case MoveKind::kCommute: return MoveType::kCommute;
     case MoveKind::kAnnotation:
-      node.annotation = candidate.annotation;
-      return;
+      if (node.type == OpType::kJoin) return MoveType::kJoinSite;
+      if (node.type == OpType::kScan) return MoveType::kScanSite;
+      return MoveType::kSelectSite;
     case MoveKind::kReplica:
-      node.replica = candidate.replica;
-      return;
-    case MoveKind::kCommute:
-      std::swap(node.left, node.right);
-      return;
-    case MoveKind::kAssocLL: {
-      // (A JOIN_Y B) JOIN_X C -> A JOIN_X (B JOIN_Y C)
-      auto y = std::move(node.left);
-      auto c = std::move(node.right);
-      auto a = std::move(y->left);
-      auto b = std::move(y->right);
-      y->left = std::move(b);
-      y->right = std::move(c);
-      node.left = std::move(a);
-      node.right = std::move(y);
-      return;
-    }
-    case MoveKind::kAssocLR: {
-      // (A JOIN_Y B) JOIN_X C -> B JOIN_X (A JOIN_Y C)
-      auto y = std::move(node.left);
-      auto c = std::move(node.right);
-      auto a = std::move(y->left);
-      auto b = std::move(y->right);
-      y->left = std::move(a);
-      y->right = std::move(c);
-      node.left = std::move(b);
-      node.right = std::move(y);
-      return;
-    }
-    case MoveKind::kAssocRL: {
-      // A JOIN_X (B JOIN_Y C) -> (A JOIN_Y B) JOIN_X C
-      auto a = std::move(node.left);
-      auto y = std::move(node.right);
-      auto b = std::move(y->left);
-      auto c = std::move(y->right);
-      y->left = std::move(a);
-      y->right = std::move(b);
-      node.left = std::move(y);
-      node.right = std::move(c);
-      return;
-    }
-    case MoveKind::kAssocRR: {
-      // A JOIN_X (B JOIN_Y C) -> (A JOIN_Y C) JOIN_X B
-      auto a = std::move(node.left);
-      auto y = std::move(node.right);
-      auto b = std::move(y->left);
-      auto c = std::move(y->right);
-      y->left = std::move(a);
-      y->right = std::move(c);
-      node.left = std::move(y);
-      node.right = std::move(b);
-      return;
-    }
+      return MoveType::kScanSite;
   }
   DIMSUM_UNREACHABLE();
 }
 
-bool PlanIsLegal(const Plan& plan, const QueryGraph& query,
-                 const TransformConfig& config) {
-  if (!IsStructurallyValid(plan)) return false;
-  if (!IsWellFormed(plan)) return false;
-  if (!InPolicySpace(plan, config.space)) return false;
-  if (!MatchesQuery(plan, query, config.allow_cartesian)) return false;
-  if (config.require_linear && !IsLinear(plan)) return false;
-  return true;
+/// Applies `candidate` to `move->node` and records what UndoMove needs.
+void ApplyToNode(const Candidate& candidate, AppliedMove* move) {
+  PlanNode& x = *move->node;
+  move->type = CandidateMoveType(candidate, x);
+  move->annotation = x.annotation;
+  move->replica = x.replica;
+  switch (candidate.kind) {
+    case MoveKind::kAnnotation:
+      x.annotation = candidate.annotation;
+      return;
+    case MoveKind::kReplica:
+      x.replica = candidate.replica;
+      return;
+    case MoveKind::kCommute:
+      std::swap(x.left, x.right);
+      return;
+    case MoveKind::kAssocLL:
+    case MoveKind::kAssocLR:
+    case MoveKind::kAssocRL:
+    case MoveKind::kAssocRR:
+      break;
+  }
+  // A rotation of X's join child Y. Name the three subtrees below X and Y
+  // A, B and C, left to right.
+  const bool from_left = candidate.kind == MoveKind::kAssocLL ||
+                         candidate.kind == MoveKind::kAssocLR;
+  move->child = from_left ? x.left.get() : x.right.get();
+  move->links = {x.left.get(), x.right.get(), move->child->left.get(),
+                 move->child->right.get()};
+  std::unique_ptr<PlanNode> y = std::move(from_left ? x.left : x.right);
+  std::unique_ptr<PlanNode> a = std::move(from_left ? y->left : x.left);
+  std::unique_ptr<PlanNode> b = std::move(from_left ? y->right : y->left);
+  std::unique_ptr<PlanNode> c = std::move(from_left ? x.right : y->right);
+  switch (candidate.kind) {
+    case MoveKind::kAssocLL:  // (A Y B) X C -> A X (B Y C)
+      y->left = std::move(b);
+      y->right = std::move(c);
+      x.left = std::move(a);
+      x.right = std::move(y);
+      return;
+    case MoveKind::kAssocLR:  // (A Y B) X C -> B X (A Y C)
+      y->left = std::move(a);
+      y->right = std::move(c);
+      x.left = std::move(b);
+      x.right = std::move(y);
+      return;
+    case MoveKind::kAssocRL:  // A X (B Y C) -> (A Y B) X C
+      y->left = std::move(a);
+      y->right = std::move(b);
+      x.left = std::move(y);
+      x.right = std::move(c);
+      return;
+    case MoveKind::kAssocRR:  // A X (B Y C) -> (A Y C) X B
+      y->left = std::move(a);
+      y->right = std::move(c);
+      x.left = std::move(y);
+      x.right = std::move(b);
+      return;
+    default:
+      DIMSUM_UNREACHABLE();
+  }
+}
+
+bool IsRotation(MoveType type) {
+  return type == MoveType::kAssocLL || type == MoveType::kAssocLR ||
+         type == MoveType::kAssocRL || type == MoveType::kAssocRR;
 }
 
 /// Repairs two-node annotation cycles by re-drawing the child's annotation
@@ -233,25 +239,6 @@ SiteAnnotation PickAnnotation(const PolicySpace& space, OpType type,
       rng.UniformInt(0, static_cast<int64_t>(allowed.size()) - 1))];
 }
 
-/// Maps an internal candidate to the paper-facing move numbering; `node`
-/// is the candidate's target (needed to split moves 5-7 by operator type).
-MoveType CandidateMoveType(const Candidate& candidate, const PlanNode& node) {
-  switch (candidate.kind) {
-    case MoveKind::kAssocLL: return MoveType::kAssocLL;
-    case MoveKind::kAssocLR: return MoveType::kAssocLR;
-    case MoveKind::kAssocRL: return MoveType::kAssocRL;
-    case MoveKind::kAssocRR: return MoveType::kAssocRR;
-    case MoveKind::kCommute: return MoveType::kCommute;
-    case MoveKind::kAnnotation:
-      if (node.type == OpType::kJoin) return MoveType::kJoinSite;
-      if (node.type == OpType::kScan) return MoveType::kScanSite;
-      return MoveType::kSelectSite;
-    case MoveKind::kReplica:
-      return MoveType::kScanSite;
-  }
-  DIMSUM_UNREACHABLE();
-}
-
 }  // namespace
 
 const char* MoveTypeName(MoveType type) {
@@ -268,31 +255,130 @@ const char* MoveTypeName(MoveType type) {
   DIMSUM_UNREACHABLE();
 }
 
+int CountMoveCandidates(const Plan& plan, const TransformConfig& config) {
+  DIMSUM_CHECK(!plan.empty());
+  int count = 0;
+  const auto count_node = [&](const PlanNode& node, const PlanNode&) {
+    VisitNodeCandidates(node, config, [&count](const Candidate&) {
+      ++count;
+      return false;
+    });
+    return false;
+  };
+  WalkBelowDisplay(*plan.root(), count_node);
+  return count;
+}
+
+AppliedMove ApplyCandidate(Plan& plan, const TransformConfig& config,
+                           int index) {
+  DIMSUM_CHECK(!plan.empty());
+  DIMSUM_CHECK_GE(index, 0);
+  // One walk that stops at the candidate, with the node and its parent.
+  AppliedMove move;
+  Candidate chosen{};
+  int remaining = index;
+  const bool found = WalkBelowDisplay(
+      *plan.root(), [&](PlanNode& node, PlanNode& parent) {
+        return VisitNodeCandidates(node, config, [&](const Candidate& c) {
+          if (remaining-- > 0) return false;
+          chosen = c;
+          move.node = &node;
+          move.parent = &parent;
+          return true;
+        });
+      });
+  DIMSUM_CHECK(found) << "plan has no move candidate " << index;
+  ApplyToNode(chosen, &move);
+  return move;
+}
+
+std::optional<AppliedMove> ApplyRandomMove(Plan& plan,
+                                           const TransformConfig& config,
+                                           Rng& rng) {
+  const int count = CountMoveCandidates(plan, config);
+  if (count == 0) return std::nullopt;
+  return ApplyCandidate(plan, config,
+                        static_cast<int>(rng.UniformInt(0, count - 1)));
+}
+
+bool MoveIsLegal(const AppliedMove& move, const RelationSets& sets,
+                 const TransformConfig& config) {
+  // A move keeps every node's type and child count and the multiset of
+  // scans, so the plan stays structurally valid and scans each relation
+  // once; only the touched nodes and their edges can break.
+  const PlanNode& x = *move.node;
+  if (move.type == MoveType::kCommute) {
+    // X's relation set is unchanged and Connects is symmetric; the swap
+    // only changes which child X's inner/outer annotation points at.
+    return WellFormedEdges(x);
+  }
+  if (!IsRotation(move.type)) {
+    // A new annotation, drawn from the policy space (a replica change
+    // alters nothing these checks read): the node's own annotation rule
+    // and its edges to its parent and children.
+    return AnnotationFitsType(x.type, x.annotation) &&
+           WellFormedEdges(*move.parent) && WellFormedEdges(x);
+  }
+  // A rotation rewrote X's and Y's child links; X's edge to its parent and
+  // everything outside X's subtree are unchanged.
+  const PlanNode& y = *move.child;
+  if (!WellFormedEdges(x) || !WellFormedEdges(y)) return false;
+  // Y now joins two of the three moved subtrees. X joins Y with the third,
+  // which a predicate connects to Y's old input that Y still holds (the
+  // plan was legal), so only Y can have become a Cartesian product.
+  if (!sets.Connects(ScannedSet(*y.left, sets), ScannedSet(*y.right, sets))) {
+    return false;
+  }
+  // Linearity: X's subtree still holds joins on the same side of every
+  // ancestor, and one of Y's new inputs is X's old input beside Y, which
+  // had no join, so only X can have joins on both sides: Y on one, maybe
+  // the third subtree on the other.
+  return !config.require_linear ||
+         !ContainsJoin(x.left.get() == &y ? *x.right : *x.left);
+}
+
+void UndoMove(const AppliedMove& move) {
+  PlanNode& x = *move.node;
+  if (move.type == MoveType::kCommute) {
+    std::swap(x.left, x.right);
+  } else if (!IsRotation(move.type)) {
+    x.annotation = move.annotation;
+    x.replica = move.replica;
+  } else {
+    // The four links own Y and the three moved subtrees both before and
+    // after the move: release them and hand each node to its old owner.
+    PlanNode& y = *move.child;
+    for (std::unique_ptr<PlanNode>* link :
+         {&x.left, &x.right, &y.left, &y.right}) {
+      static_cast<void>(link->release());
+    }
+    x.left.reset(move.links[0]);
+    x.right.reset(move.links[1]);
+    y.left.reset(move.links[2]);
+    y.right.reset(move.links[3]);
+  }
+}
+
+bool PlanIsLegal(const Plan& plan, const QueryGraph& query,
+                 const TransformConfig& config) {
+  if (!IsStructurallyValid(plan)) return false;
+  if (!IsWellFormed(plan)) return false;
+  if (!InPolicySpace(plan, config.space)) return false;
+  if (!MatchesQuery(plan, query)) return false;
+  if (config.require_linear && !IsLinear(plan)) return false;
+  return true;
+}
+
 std::optional<Plan> TryRandomMove(const Plan& plan, const QueryGraph& query,
                                   const TransformConfig& config, Rng& rng,
                                   std::optional<MoveType>* chosen_type) {
   if (chosen_type != nullptr) chosen_type->reset();
-  // Count the candidates, draw one, then find it again: two walks of the
-  // input plan instead of a candidate list, so only the copy allocates.
-  int64_t count = 0;
-  VisitCandidates(plan, config,
-                  [&count](const Candidate&, const PlanNode&) { ++count; });
-  if (count == 0) return std::nullopt;
-  const int64_t pick = rng.UniformInt(0, count - 1);
-  Candidate chosen{};
-  MoveType type = MoveType::kAssocLL;
-  int64_t seen = 0;
-  VisitCandidates(plan, config,
-                  [&](const Candidate& candidate, const PlanNode& node) {
-                    if (seen++ != pick) return;
-                    chosen = candidate;
-                    type = CandidateMoveType(candidate, node);
-                  });
-  if (chosen_type != nullptr) *chosen_type = type;
-  Plan working = plan.Clone();
-  ApplyMove(working, chosen);
-  if (!PlanIsLegal(working, query, config)) return std::nullopt;
-  return working;
+  Plan moved = plan.Clone();
+  const std::optional<AppliedMove> move = ApplyRandomMove(moved, config, rng);
+  if (!move.has_value()) return std::nullopt;
+  if (chosen_type != nullptr) *chosen_type = move->type;
+  if (!MoveIsLegal(*move, RelationSets(query), config)) return std::nullopt;
+  return moved;
 }
 
 Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
@@ -330,8 +416,7 @@ Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
     }
     for (int i = 0; i < static_cast<int>(forest.size()); ++i) {
       for (int j = i + 1; j < static_cast<int>(forest.size()); ++j) {
-        if (!config.allow_cartesian &&
-            !sets.Connects(forest[i].relations, forest[j].relations)) {
+        if (!sets.Connects(forest[i].relations, forest[j].relations)) {
           continue;
         }
         if (config.require_linear) {
@@ -368,14 +453,6 @@ Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
   return plan;
 }
 
-void RandomizeAnnotations(Plan& plan, const PolicySpace& space, Rng& rng) {
-  plan.ForEachMutable([&](PlanNode& node) {
-    if (node.type == OpType::kDisplay) return;
-    node.annotation = PickAnnotation(space, node.type, rng);
-  });
-  RepairWellFormedness(plan, space, rng);
-}
-
 void RandomizeAnnotations(Plan& plan, const TransformConfig& config,
                           Rng& rng) {
   plan.ForEachMutable([&](PlanNode& node) {
@@ -386,13 +463,6 @@ void RandomizeAnnotations(Plan& plan, const TransformConfig& config,
     }
   });
   RepairWellFormedness(plan, config.space, rng);
-}
-
-int CountMoveCandidates(const Plan& plan, const TransformConfig& config) {
-  int count = 0;
-  VisitCandidates(plan, config,
-                  [&count](const Candidate&, const PlanNode&) { ++count; });
-  return count;
 }
 
 }  // namespace dimsum

@@ -1,6 +1,8 @@
 #ifndef DIMSUM_PLAN_TRANSFORMS_H_
 #define DIMSUM_PLAN_TRANSFORMS_H_
 
+#include <array>
+#include <cstdint>
 #include <optional>
 
 #include "catalog/catalog.h"
@@ -31,9 +33,6 @@ struct TransformConfig {
   /// lists only moves 1-4; commutativity is standard in [IK90] and is kept
   /// behind this flag (see DESIGN.md).
   bool allow_commute = true;
-  /// Permit Cartesian-product joins in the search space. The paper's
-  /// optimizer never joins unconnected subtrees.
-  bool allow_cartesian = false;
   /// Constrain the search to linear (left-deep) join trees; used to obtain
   /// the "deep" compile-time plans of Section 5.2.
   bool require_linear = false;
@@ -65,10 +64,62 @@ inline constexpr int kNumMoveTypes = 8;
 /// Short stable name ("assoc_ll", "join_site", ...) for metrics keys.
 const char* MoveTypeName(MoveType type);
 
-/// Applies one uniformly-chosen legal transformation. Returns the
-/// transformed plan, or nullopt if the chosen candidate produced an invalid
-/// plan (Cartesian product / ill-formed / shape violation) or no candidate
-/// exists. The input plan is unchanged.
+/// A candidate move applied in place by ApplyCandidate or ApplyRandomMove,
+/// with what UndoMove needs to restore the plan. Its pointers point into
+/// the plan and stay valid until the plan changes other than by UndoMove.
+struct AppliedMove {
+  MoveType type = MoveType::kAssocLL;
+  PlanNode* node = nullptr;    // the node the move rewrote (X)
+  PlanNode* parent = nullptr;  // its parent (the display for the plan root)
+  /// Moves 5-7: the node's annotation and serving replica before the move.
+  SiteAnnotation annotation = SiteAnnotation::kClient;
+  int32_t replica = 0;
+  /// Moves 1-4: the join child the move rotated (Y), and the child links
+  /// node.left, node.right, child.left and child.right before the move.
+  PlanNode* child = nullptr;
+  std::array<PlanNode*, 4> links{};
+};
+
+/// Number of candidate moves of `plan`: ApplyRandomMove draws uniformly
+/// over these.
+int CountMoveCandidates(const Plan& plan, const TransformConfig& config);
+
+/// Applies candidate `index` (0 <= index < CountMoveCandidates) to `plan`
+/// in place. Candidates are numbered by node in pre-order below the
+/// display, and at each node by join reorderings (moves 1-4, then
+/// commute), annotation changes and replica changes. The move stays
+/// applied, legal or not, until UndoMove reverts it.
+AppliedMove ApplyCandidate(Plan& plan, const TransformConfig& config,
+                           int index);
+
+/// Draws one candidate uniformly, with a single
+/// rng.UniformInt(0, count - 1), and applies it as ApplyCandidate does.
+/// Returns nullopt, drawing nothing and leaving `plan` as it is, when
+/// `plan` has no candidate.
+std::optional<AppliedMove> ApplyRandomMove(Plan& plan,
+                                           const TransformConfig& config,
+                                           Rng& rng);
+
+/// Whether the plan `move` was applied to is legal, decided from the
+/// nodes the move touched; `sets` are the query's relation sets. Equals
+/// PlanIsLegal of the moved plan whenever the plan was legal before the
+/// move (DESIGN.md, "Binding and moves", lists the rules per move kind).
+bool MoveIsLegal(const AppliedMove& move, const RelationSets& sets,
+                 const TransformConfig& config);
+
+/// Reverts `move`, the last move applied to its plan: the plan is again
+/// what it was before the move, node for node, except for bound sites.
+void UndoMove(const AppliedMove& move);
+
+/// The full legality check over the whole plan: structurally valid,
+/// well-formed, within the policy space, scanning each relation of
+/// `query` once with no Cartesian product, and linear when required.
+bool PlanIsLegal(const Plan& plan, const QueryGraph& query,
+                 const TransformConfig& config);
+
+/// Returns a copy of `plan` with one random move applied (ApplyRandomMove
+/// on a clone), or nullopt when the move is illegal or `plan` has no
+/// candidate; `plan` must be legal, and is unchanged.
 ///
 /// When `chosen_type` is non-null it is assigned the type of the candidate
 /// that was drawn -- including when the move then proved illegal and
@@ -85,19 +136,12 @@ std::optional<Plan> TryRandomMove(const Plan& plan, const QueryGraph& query,
 Plan RandomPlan(const QueryGraph& query, const TransformConfig& config,
                 Rng& rng);
 
-/// Re-draws every operator's annotation uniformly from the allowed sets and
-/// repairs two-node cycles. Join order is preserved.
-void RandomizeAnnotations(Plan& plan, const PolicySpace& space, Rng& rng);
-
-/// As above, and -- when `config.catalog` names a replicated catalog --
-/// also re-draws each scan's serving replica. Replica draws happen only
-/// for relations with more than one copy, so unreplicated runs consume
-/// exactly the same RNG stream as the PolicySpace overload.
+/// Re-draws every operator's annotation uniformly from the allowed sets,
+/// and -- when `config.catalog` names a replicated catalog -- each scan's
+/// serving replica, then repairs two-node cycles. Join order is preserved.
+/// Replica draws happen only for relations with more than one copy, so an
+/// unreplicated catalog draws exactly what a null catalog does.
 void RandomizeAnnotations(Plan& plan, const TransformConfig& config, Rng& rng);
-
-/// Number of distinct single-move neighbors of `plan` (used by tests and
-/// by the annealing schedule).
-int CountMoveCandidates(const Plan& plan, const TransformConfig& config);
 
 }  // namespace dimsum
 

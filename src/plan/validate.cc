@@ -8,30 +8,15 @@ namespace dimsum {
 namespace {
 
 bool StructurallyValidNode(const PlanNode& node, bool is_root) {
-  if (node.type == OpType::kDisplay) {
-    if (!is_root) return false;
-    if (node.annotation != SiteAnnotation::kClient) return false;
-    if (node.left == nullptr || node.right != nullptr) return false;
-  } else if (IsBinaryOp(node.type)) {
+  if ((node.type == OpType::kDisplay) != is_root) return false;
+  if (!AnnotationFitsType(node.type, node.annotation)) return false;
+  if (IsBinaryOp(node.type)) {
     if (node.left == nullptr || node.right == nullptr) return false;
-    if (node.annotation != SiteAnnotation::kConsumer &&
-        node.annotation != SiteAnnotation::kInnerRel &&
-        node.annotation != SiteAnnotation::kOuterRel) {
-      return false;
-    }
-  } else if (IsUnaryOp(node.type)) {
-    if (node.left == nullptr || node.right != nullptr) return false;
-    if (node.annotation != SiteAnnotation::kConsumer &&
-        node.annotation != SiteAnnotation::kProducer) {
-      return false;
-    }
-  } else {  // scan
+  } else if (node.type == OpType::kScan) {
     if (node.left != nullptr || node.right != nullptr) return false;
     if (node.relation == kInvalidRelation) return false;
-    if (node.annotation != SiteAnnotation::kClient &&
-        node.annotation != SiteAnnotation::kPrimaryCopy) {
-      return false;
-    }
+  } else {  // display or a unary operator
+    if (node.left == nullptr || node.right != nullptr) return false;
   }
   bool valid = true;
   if (node.left) valid &= StructurallyValidNode(*node.left, false);
@@ -59,15 +44,9 @@ bool ChildPointsAtParent(const PlanNode& child) {
 }
 
 bool WellFormedNode(const PlanNode& node) {
-  for (int side = 0; side < 2; ++side) {
-    const PlanNode* child = (side == 0) ? node.left.get() : node.right.get();
-    if (child == nullptr) continue;
-    if (ChildPointsAtParent(*child) && ParentPointsAtChild(node, side == 0)) {
-      return false;  // two-node annotation cycle
-    }
-    if (!WellFormedNode(*child)) return false;
-  }
-  return true;
+  if (!WellFormedEdges(node)) return false;
+  return (node.left == nullptr || WellFormedNode(*node.left)) &&
+         (node.right == nullptr || WellFormedNode(*node.right));
 }
 
 bool InSpace(const PlanNode& node, const PolicySpace& space) {
@@ -78,25 +57,20 @@ bool InSpace(const PlanNode& node, const PolicySpace& space) {
 
 /// Relations scanned in the subtree rooted at `node`, as a query-local
 /// set. Clears `*ok` when a scan reads a relation outside the query, two
-/// scans read the same relation, or -- unless `allow_cartesian` -- a join
-/// has no predicate between its inputs.
+/// scans read the same relation, or a join has no predicate between its
+/// inputs.
 uint64_t ScannedRelations(const PlanNode& node, const RelationSets& sets,
-                          bool allow_cartesian, bool* ok) {
+                          bool* ok) {
   if (node.type == OpType::kScan) {
     const uint64_t self = sets.Of(node.relation);
     if (self == 0) *ok = false;
     return self;
   }
-  const uint64_t left =
-      node.left ? ScannedRelations(*node.left, sets, allow_cartesian, ok) : 0;
+  const uint64_t left = node.left ? ScannedRelations(*node.left, sets, ok) : 0;
   const uint64_t right =
-      node.right ? ScannedRelations(*node.right, sets, allow_cartesian, ok)
-                 : 0;
+      node.right ? ScannedRelations(*node.right, sets, ok) : 0;
   if ((left & right) != 0) *ok = false;
-  if (node.type == OpType::kJoin && !allow_cartesian &&
-      !sets.Connects(left, right)) {
-    *ok = false;
-  }
+  if (node.type == OpType::kJoin && !sets.Connects(left, right)) *ok = false;
   return left | right;
 }
 
@@ -113,7 +87,6 @@ bool HasJoin(const PlanNode& node, bool* linear) {
 
 bool IsStructurallyValid(const Plan& plan) {
   if (plan.empty()) return false;
-  if (plan.root()->type != OpType::kDisplay) return false;
   return StructurallyValidNode(*plan.root(), true);
 }
 
@@ -126,14 +99,12 @@ bool InPolicySpace(const Plan& plan, const PolicySpace& space) {
   return plan.empty() || InSpace(*plan.root(), space);
 }
 
-bool MatchesQuery(const Plan& plan, const QueryGraph& query,
-                  bool allow_cartesian) {
+bool MatchesQuery(const Plan& plan, const QueryGraph& query) {
   if (plan.empty()) return false;
   // The plan must scan each query relation exactly once.
   const RelationSets sets(query);
   bool ok = true;
-  const uint64_t scanned =
-      ScannedRelations(*plan.root(), sets, allow_cartesian, &ok);
+  const uint64_t scanned = ScannedRelations(*plan.root(), sets, &ok);
   return ok && scanned == sets.all();
 }
 
@@ -142,6 +113,42 @@ bool IsLinear(const Plan& plan) {
   bool linear = true;
   HasJoin(*plan.root(), &linear);
   return linear;
+}
+
+bool AnnotationFitsType(OpType type, SiteAnnotation annotation) {
+  using SA = SiteAnnotation;
+  if (type == OpType::kDisplay) return annotation == SA::kClient;
+  if (type == OpType::kScan) {
+    return annotation == SA::kClient || annotation == SA::kPrimaryCopy;
+  }
+  if (IsBinaryOp(type)) {
+    return annotation == SA::kConsumer || annotation == SA::kInnerRel ||
+           annotation == SA::kOuterRel;
+  }
+  return annotation == SA::kConsumer || annotation == SA::kProducer;
+}
+
+bool WellFormedEdges(const PlanNode& node) {
+  for (const bool left : {true, false}) {
+    const PlanNode* child = left ? node.left.get() : node.right.get();
+    if (child != nullptr && ChildPointsAtParent(*child) &&
+        ParentPointsAtChild(node, left)) {
+      return false;  // two-node annotation cycle
+    }
+  }
+  return true;
+}
+
+uint64_t ScannedSet(const PlanNode& node, const RelationSets& sets) {
+  if (node.type == OpType::kScan) return sets.Of(node.relation);
+  return (node.left ? ScannedSet(*node.left, sets) : 0) |
+         (node.right ? ScannedSet(*node.right, sets) : 0);
+}
+
+bool ContainsJoin(const PlanNode& node) {
+  return node.type == OpType::kJoin ||
+         (node.left != nullptr && ContainsJoin(*node.left)) ||
+         (node.right != nullptr && ContainsJoin(*node.right));
 }
 
 }  // namespace dimsum

@@ -1,6 +1,8 @@
 #ifndef DIMSUM_PLAN_VALIDATE_H_
 #define DIMSUM_PLAN_VALIDATE_H_
 
+#include <cstdint>
+
 #include "plan/plan.h"
 #include "plan/policy.h"
 #include "plan/query.h"
@@ -30,14 +32,33 @@ bool InPolicySpace(const Plan& plan, const PolicySpace& space);
 /// True if every join in the plan joins subtrees connected by a join
 /// predicate of `query` (i.e., the plan contains no Cartesian products),
 /// and the plan scans exactly the relations of `query` once each.
-bool MatchesQuery(const Plan& plan, const QueryGraph& query,
-                  bool allow_cartesian = false);
+bool MatchesQuery(const Plan& plan, const QueryGraph& query);
 
 /// True if no join has joins in both subtrees (left-deep / linear shape).
 bool IsLinear(const Plan& plan);
 
 /// True if some join has joins in both subtrees.
 inline bool IsBushy(const Plan& plan) { return !IsLinear(plan); }
+
+/// Per-node parts of the checks above, for deciding a local edit's
+/// legality from the nodes it touched.
+
+/// True if an operator of `type` may carry `annotation` in a structurally
+/// valid plan: the display `client`; binary operators `consumer`, `inner
+/// relation` or `outer relation`; unary ones `consumer` or `producer`;
+/// scans `client` or `primary copy`.
+bool AnnotationFitsType(OpType type, SiteAnnotation annotation);
+
+/// True if neither of `node`'s edges to its children is a two-node
+/// annotation cycle.
+bool WellFormedEdges(const PlanNode& node);
+
+/// Relations scanned in the subtree rooted at `node`, as a query-local
+/// set of `sets`.
+uint64_t ScannedSet(const PlanNode& node, const RelationSets& sets);
+
+/// True if the subtree rooted at `node` contains a join.
+bool ContainsJoin(const PlanNode& node);
 
 }  // namespace dimsum
 

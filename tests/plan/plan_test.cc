@@ -122,7 +122,6 @@ TEST(ValidateTest, MatchesQueryDetectsCartesianProduct) {
                SiteAnnotation::kConsumer);
   Plan plan(MakeDisplay(std::move(join)));
   EXPECT_FALSE(MatchesQuery(plan, chain));
-  EXPECT_TRUE(MatchesQuery(plan, chain, /*allow_cartesian=*/true));
 }
 
 TEST(ValidateTest, MatchesQueryRequiresExactRelationSet) {

@@ -309,7 +309,7 @@ TEST(RandomizeAnnotationsTest, StaysInSpaceAndWellFormed) {
   Rng rng(11);
   Plan plan = RandomPlan(query, config, rng);
   for (int i = 0; i < 50; ++i) {
-    RandomizeAnnotations(plan, config.space, rng);
+    RandomizeAnnotations(plan, config, rng);
     ASSERT_TRUE(IsWellFormed(plan));
     ASSERT_TRUE(InPolicySpace(plan, config.space));
   }
