@@ -109,6 +109,12 @@ TEST(FaultExecTest, LinkDropTriggersRetransmits) {
   // Retransmissions add wire traffic and delay.
   EXPECT_GT(faulted.bytes_sent, healthy.bytes_sent);
   EXPECT_GT(faulted.response_ms, healthy.response_ms);
+  // The window is long enough for the backoff to double up to its cap, so
+  // these pin the whole schedule: 50 ms first, x2 per drop, capped at
+  // 1000 ms. A x3 multiplier gives 5 retransmits; a 900 ms cap ends 100 ms
+  // sooner.
+  EXPECT_EQ(faulted.retransmits, 6);
+  EXPECT_EQ(faulted.response_ms, 14383.017120000146);  // bitwise
 }
 
 TEST(FaultExecTest, LinkDelayStretchesTransfersWithoutRetransmits) {
