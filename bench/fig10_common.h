@@ -158,10 +158,10 @@ inline Fig10Point RunFig10Point(int servers, double selectivity,
     point.bushy_two_step.Add(t_bushy_two / t_ideal);
 
     if (rep + 1 >= reps.min_replications &&
-        point.deep_static.WithinRelativeError(reps.relative_error) &&
-        point.deep_two_step.WithinRelativeError(reps.relative_error) &&
-        point.bushy_static.WithinRelativeError(reps.relative_error) &&
-        point.bushy_two_step.WithinRelativeError(reps.relative_error)) {
+        point.deep_static.WithinRelativeError(kReplicationRelativeError) &&
+        point.deep_two_step.WithinRelativeError(kReplicationRelativeError) &&
+        point.bushy_static.WithinRelativeError(kReplicationRelativeError) &&
+        point.bushy_two_step.WithinRelativeError(kReplicationRelativeError)) {
       break;
     }
   }

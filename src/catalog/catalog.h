@@ -223,12 +223,6 @@ class Catalog {
     return sites[(static_cast<std::size_t>(shard) + wrapped) % sites.size()];
   }
 
-  /// Sites holding shards of the relation, declaration order.
-  const std::vector<SiteId>& ShardSites(RelationId id) const {
-    DIMSUM_CHECK(sharded(id)) << "relation " << id << " is not sharded";
-    return shard_sites_[id];
-  }
-
   /// How many distinct copies a scan of this relation can choose from:
   /// the shard replication degree when sharded, otherwise the replica
   /// count. This is the value the optimizer's replica moves and the

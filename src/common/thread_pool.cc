@@ -41,12 +41,6 @@ ThreadPool::~ThreadPool() {
 bool ThreadPool::InWorkerThread() const { return g_current_pool == this; }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
-  if (num_threads_ == 1 || InWorkerThread()) {
-    // Inline fallback: sequential pool, or a worker scheduling sub-work
-    // (running it here keeps the pool deadlock-free).
-    task();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     DIMSUM_CHECK(!stop_);

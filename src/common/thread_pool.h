@@ -4,11 +4,8 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace dimsum {
@@ -32,18 +29,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int thread_count() const { return num_threads_; }
-
-  /// Schedules `fn` and returns a future for its result. With one thread
-  /// the task runs inline before Submit returns. Exceptions thrown by the
-  /// task surface from future::get().
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Enqueue([task] { (*task)(); });
-    return future;
-  }
 
   /// Runs `body(0) .. body(n-1)`, blocking until all iterations complete.
   /// Iterations may run in any order and concurrently; the caller's thread

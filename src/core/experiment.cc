@@ -30,7 +30,7 @@ RunningStat Replicate(const std::function<double(uint64_t)>& trial,
       stat.Add(values[static_cast<std::size_t>(j)]);
       ++completed;
       if (completed >= options.min_replications &&
-          stat.WithinRelativeError(options.relative_error)) {
+          stat.WithinRelativeError(kReplicationRelativeError)) {
         return stat;  // remaining speculative trials in `values` discarded
       }
     }

@@ -8,17 +8,19 @@
 
 namespace dimsum {
 
-/// Replication control, mirroring the paper's methodology: "experiments
-/// were executed repeatedly so that the 90% confidence intervals for all
-/// results were within 5%".
+/// The paper's stopping rule: "experiments were executed repeatedly so
+/// that the 90% confidence intervals for all results were within 5%"
+/// (CI half-width / mean).
+inline constexpr double kReplicationRelativeError = 0.05;
+
+/// Replication control, mirroring the paper's methodology.
 struct ReplicationOptions {
   int min_replications = 3;
   int max_replications = 24;
-  double relative_error = 0.05;  // CI half-width / mean
 };
 
 /// Runs `trial(seed)` with seeds base_seed, base_seed+1, ... until the 90%
-/// confidence interval is within the requested relative error (or the
+/// confidence interval is within kReplicationRelativeError (or the
 /// replication cap is reached) and returns the accumulated statistics.
 ///
 /// Trials run concurrently on the global thread pool (DIMSUM_THREADS) in

@@ -44,9 +44,9 @@ std::string FmtCi(double mean, double ci, int precision = 2);
 
 enum class ExplainMode { kOff, kText, kJson };
 
-/// Parses an --explain / DIMSUM_EXPLAIN value: "", "1", and "text" select
-/// text; "json" selects JSON; "0" and "off" disable. Anything else returns
-/// nullopt so callers can reject it.
+/// Parses an --explain value: "", "1", and "text" select text; "json"
+/// selects JSON; "0" and "off" disable. Anything else returns nullopt so
+/// callers can reject it.
 std::optional<ExplainMode> ParseExplainMode(const std::string& value);
 
 /// Symmetric bounded relative error: (est - act) / max(est, act, eps).

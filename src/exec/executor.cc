@@ -101,7 +101,6 @@ int ExecSession::Submit(const Plan& plan, const QueryGraph& query) {
                   state->metrics});
   state->ctx->start_ms = state->start_ms;
   state->ctx->faults = fault_state_.get();
-  state->ctx->fault_tolerance = &config_.fault_tolerance;
   state->next_op = 1;  // 0 is the display
   state->next_net_op = plan.Size();
   if (config_.collect_operator_actuals || config_.collect_spans) {

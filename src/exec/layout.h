@@ -39,9 +39,6 @@ class DiskSpace {
     return start;
   }
 
-  /// Releases all temporary extents (end of query).
-  void ResetTemp() { next_temp_ = temp_start_; }
-
   int64_t base_pages_used() const { return next_base_; }
   int64_t temp_pages_used() const { return next_temp_ - temp_start_; }
 

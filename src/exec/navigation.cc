@@ -11,6 +11,9 @@
 namespace dimsum {
 namespace {
 
+/// Server page-buffer capacity (pages) for a session.
+constexpr int64_t kServerBufferPages = 512;
+
 /// Simple LRU set of page numbers.
 class LruBuffer {
  public:
@@ -68,7 +71,7 @@ sim::Task<void> ServerReadPage(Session& s, LruBuffer& server_buffer,
 sim::Process Navigate(Session& s, bool* done) {
   Rng rng(s.spec.seed);
   LruBuffer client_buffer(s.spec.client_buffer_pages);
-  LruBuffer server_buffer(s.spec.server_buffer_pages);
+  LruBuffer server_buffer(kServerBufferPages);
   const CostParams& p = s.config.params;
   const int object_bytes = s.object_bytes;
   const double request_cpu = p.MsgCpuMs(p.fault_request_bytes);

@@ -15,7 +15,8 @@ namespace dimsum {
 /// An application at the client dereferences a chain of object references
 /// into one relation. With probability `locality` the next object lives on
 /// the same page as the current one; otherwise it is drawn uniformly from
-/// the relation. Both sides keep an LRU page buffer for the session.
+/// the relation. Both sides keep an LRU page buffer for the session; the
+/// server's holds 512 pages.
 struct NavigationSpec {
   RelationId relation = 0;
   int num_steps = 1000;
@@ -23,8 +24,6 @@ struct NavigationSpec {
   double locality = 0.9;
   /// Client page-buffer capacity (pages) for faulted-in pages.
   int64_t client_buffer_pages = 64;
-  /// Server page-buffer capacity (pages) for the session.
-  int64_t server_buffer_pages = 512;
   uint64_t seed = 1;
 };
 

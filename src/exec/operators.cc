@@ -263,6 +263,12 @@ sim::Task<int64_t> EmitRemainder(SiteRuntime& site, OutputAccumulator& acc,
   co_return pages;
 }
 
+/// Retransmission schedule of a message lost to a link drop window, in
+/// virtual ms: the first timeout, then x2 per consecutive drop, capped.
+constexpr double kRetransmitTimeoutMs = 50.0;
+constexpr double kRetransmitBackoffMult = 2.0;
+constexpr double kRetransmitBackoffCapMs = 1000.0;
+
 /// One transfer under the fault model: a message started inside a drop
 /// window occupies the wire but is lost; the sender times out (virtual
 /// time) and retransmits with exponential backoff until a transfer starts
@@ -271,8 +277,7 @@ sim::Task<int64_t> EmitRemainder(SiteRuntime& site, OutputAccumulator& acc,
 /// message/byte totals include them too (they really crossed the wire).
 sim::Task<void> FaultyTransfer(ExecContext& ctx, int64_t bytes,
                                sim::ReqStats* stats = nullptr) {
-  const FaultTolerance& tolerance = *ctx.fault_tolerance;
-  double timeout_ms = tolerance.retransmit_timeout_ms;
+  double timeout_ms = kRetransmitTimeoutMs;
   while (true) {
     const bool dropped = ctx.faults->LinkDropping(ctx.sim.now());
     const double factor = ctx.faults->LinkDelayFactor(ctx.sim.now());
@@ -283,8 +288,8 @@ sim::Task<void> FaultyTransfer(ExecContext& ctx, int64_t bytes,
     ++ctx.metrics.messages;
     ctx.metrics.bytes_sent += bytes;
     co_await ctx.sim.Delay(timeout_ms);
-    timeout_ms = std::min(timeout_ms * tolerance.retransmit_backoff_mult,
-                          tolerance.retransmit_backoff_cap_ms);
+    timeout_ms = std::min(timeout_ms * kRetransmitBackoffMult,
+                          kRetransmitBackoffCapMs);
   }
 }
 

@@ -50,11 +50,8 @@ struct ExecContext {
   /// Fault oracle of the session (null on healthy runs; operators then take
   /// exactly their pre-fault code paths). Crashed sites stall new disk and
   /// network requests at request boundaries (fail-stop; in-service work
-  /// finishes); drop windows force retransmissions per `fault_tolerance`.
+  /// finishes); drop windows force retransmissions (see FaultyTransfer).
   sim::FaultState* faults = nullptr;
-  /// Retransmission policy (points into the session config; read only when
-  /// `faults` is non-null).
-  const FaultTolerance* fault_tolerance = nullptr;
 
   /// Per-query causal span set (null = capture off; see sim/span.h). Owned
   /// by the session's per-query state, never by ExecMetrics, so metrics

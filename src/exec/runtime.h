@@ -22,18 +22,6 @@
 
 namespace dimsum {
 
-/// Executor-side handling of injected link faults: a transfer lost to a
-/// drop window is detected by a virtual-time timeout and retransmitted
-/// with exponential backoff. Only consulted when a fault schedule is
-/// attached; healthy runs never read these knobs.
-struct FaultTolerance {
-  /// Timeout before the first retransmission of a dropped message, ms.
-  double retransmit_timeout_ms = 50.0;
-  /// Backoff multiplier and cap for consecutive drops of one message.
-  double retransmit_backoff_mult = 2.0;
-  double retransmit_backoff_cap_ms = 1000.0;
-};
-
 /// Runtime configuration of the simulated client-server system.
 struct SystemConfig {
   CostParams params;                  // Table 2 settings (incl. NumDisks)
@@ -56,10 +44,6 @@ struct SystemConfig {
   int num_sites() const { return num_clients + num_servers; }
   bool IsClientSite(SiteId site) const {
     return site >= 0 && site < num_clients;
-  }
-  /// Site id of the i-th server under this configuration's numbering.
-  SiteId ServerSiteAt(int index) const {
-    return ServerSite(index, num_clients);
   }
 
   // --- observability (never changes simulation results) -----------------
@@ -99,8 +83,6 @@ struct SystemConfig {
   /// a crashed site's resources stall until the restart unless the
   /// workload layer re-optimizes around it (see workload/driver.h).
   const sim::FaultSchedule* faults = nullptr;
-  /// Link-fault retransmission policy (read only when `faults` is set).
-  FaultTolerance fault_tolerance;
 };
 
 /// Location of a contiguous on-disk extent within a site.

@@ -142,10 +142,13 @@ OptimizeResult TwoPhaseOptimizer::Anneal(Plan start, double start_cost,
   Plan current = std::move(start);
   double current_cost = start_cost;
 
+  // [IK90]'s 2PO schedule: a low start temperature, a tenth of the II
+  // result's cost, decaying by 0.9 per stage.
+  constexpr double kInitialTempFactor = 0.1;
+  constexpr double kTempDecay = 0.9;
   const int joins = std::max(1, query.num_relations() - 1);
   const int stage_moves = config_.sa_stage_moves_per_join * joins;
-  double temperature =
-      std::max(config_.sa_initial_temp_factor * start_cost, 1e-9);
+  double temperature = std::max(kInitialTempFactor * start_cost, 1e-9);
   const double freeze_temp = temperature * config_.sa_freeze_temp_ratio;
   int stages_without_improvement = 0;
 
@@ -172,7 +175,7 @@ OptimizeResult TwoPhaseOptimizer::Anneal(Plan start, double start_cost,
         UndoMove(*move);
       }
     }
-    temperature *= config_.sa_temp_decay;
+    temperature *= kTempDecay;
     stages_without_improvement = improved ? 0 : stages_without_improvement + 1;
     if (temperature < freeze_temp &&
         stages_without_improvement >= config_.sa_freeze_stages) {
@@ -271,7 +274,6 @@ OptimizeResult TwoPhaseOptimizer::SiteSelect(const Plan& start,
   TransformConfig transform = config_.MakeTransformConfig();
   transform.catalog = &model_.catalog();
   transform.join_order_moves = false;
-  transform.allow_commute = false;
   const int attempts = config_.ii_starts;
 
   std::vector<uint64_t> attempt_seeds(static_cast<std::size_t>(attempts));

@@ -23,11 +23,6 @@ struct OptimizerConfig {
   ShippingPolicy policy = ShippingPolicy::kHybridShipping;
   OptimizeMetric metric = OptimizeMetric::kResponseTime;
 
-  /// Enables join-order moves 1-4 (disable for site-selection-only
-  /// optimization, the run-time phase of 2-step optimization).
-  bool join_order_moves = true;
-  /// Extra commutativity move (see TransformConfig).
-  bool allow_commute = true;
   /// Constrain the search to linear (left-deep) join trees.
   bool require_linear = false;
 
@@ -57,11 +52,7 @@ struct OptimizerConfig {
   int ii_patience = 48;
 
   // --- simulated annealing (SA) -----------------------------------------
-  /// Initial temperature as a fraction of the II result's cost ([IK90]
-  /// found a low starting temperature best for 2PO).
-  double sa_initial_temp_factor = 0.1;
-  /// Multiplicative temperature decay per stage.
-  double sa_temp_decay = 0.9;
+  // The start temperature and its decay follow [IK90] (see Anneal).
   /// Moves attempted per temperature stage, per join in the query.
   int sa_stage_moves_per_join = 8;
   /// The system is frozen once the temperature falls below this fraction
@@ -73,8 +64,6 @@ struct OptimizerConfig {
   TransformConfig MakeTransformConfig() const {
     TransformConfig config;
     config.space = PolicySpace::For(policy);
-    config.join_order_moves = join_order_moves;
-    config.allow_commute = allow_commute && join_order_moves;
     config.require_linear = require_linear;
     return config;
   }

@@ -24,7 +24,7 @@ struct PlanNode {
   /// cached client scans. Part of the optimizer's annotation space.
   int32_t replica = 0;
   /// For scans of sharded relations: which shard this fragment reads
-  /// (index into Catalog::ShardSites). -1 = logical whole-relation scan;
+  /// (see Catalog::ShardSite). -1 = logical whole-relation scan;
   /// ExpandShards rewrites those into per-shard fragments post-optimize.
   int32_t shard = -1;
   /// For scans: pushed-down shard-key restriction as a fraction of the

@@ -26,13 +26,11 @@ namespace dimsum {
 /// paper's per-policy enabling/disabling of moves 5-7 (Table 1).
 struct TransformConfig {
   PolicySpace space = PolicySpace::For(ShippingPolicy::kHybridShipping);
-  /// Enables moves 1-4. Disabled in the 2-step optimizer's run-time phase,
-  /// which performs site selection only.
+  /// Enables moves 1-4 and the extra join-commutativity move (swap
+  /// build/probe inputs; the paper lists only moves 1-4, commutativity is
+  /// standard in [IK90], see DESIGN.md). Disabled in the 2-step optimizer's
+  /// run-time phase, which performs site selection only.
   bool join_order_moves = true;
-  /// Extra join-commutativity move (swap build/probe inputs). The paper
-  /// lists only moves 1-4; commutativity is standard in [IK90] and is kept
-  /// behind this flag (see DESIGN.md).
-  bool allow_commute = true;
   /// Constrain the search to linear (left-deep) join trees; used to obtain
   /// the "deep" compile-time plans of Section 5.2.
   bool require_linear = false;
@@ -57,7 +55,7 @@ enum class MoveType {
   kJoinSite,     // move 5: change a join's site annotation
   kSelectSite,   // move 6: change a unary operator's site annotation
   kScanSite,     // move 7: change a scan's site annotation
-  kCommute,      // extra: A B -> B A (see TransformConfig::allow_commute)
+  kCommute,      // extra: A B -> B A (see TransformConfig::join_order_moves)
 };
 inline constexpr int kNumMoveTypes = 8;
 

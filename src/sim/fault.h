@@ -50,8 +50,8 @@ struct FaultSchedule {
   bool empty() const { return clauses.empty(); }
 };
 
-/// Parses the `--faults=` / DIMSUM_FAULTS spec grammar; check-fails with a
-/// message naming the offending clause on malformed input.
+/// Parses the `--faults=` spec grammar; check-fails with a message naming
+/// the offending clause on malformed input.
 ///
 /// Grammar: clauses joined by ';', each `kind:key=value[,key=value...]`:
 ///   crash:site=<id>,at=<ms>,for=<ms>

@@ -1,5 +1,6 @@
 #include "workload/benchmark.h"
 
+#include <cstdint>
 #include <string>
 
 #include "common/check.h"
@@ -7,11 +8,15 @@
 namespace dimsum {
 namespace {
 
+/// Every benchmark relation has 10,000 tuples of 100 bytes (Section 3.3).
+constexpr int64_t kTuplesPerRelation = 10000;
+constexpr int kTupleBytes = 100;
+
 Catalog MakeRelations(const WorkloadSpec& spec) {
   Catalog catalog(spec.num_clients);
   for (int i = 0; i < spec.num_relations; ++i) {
     const RelationId id = catalog.AddRelation(
-        "R" + std::to_string(i), spec.tuples_per_relation, spec.tuple_bytes);
+        "R" + std::to_string(i), kTuplesPerRelation, kTupleBytes);
     const double fraction =
         i < spec.fully_cached_relations ? 1.0 : spec.cached_fraction;
     for (int c = 0; c < spec.num_clients; ++c) {

@@ -34,8 +34,6 @@ struct WorkloadSpec {
   int fully_cached_relations = 0;
   /// Join selectivity factor: 1.0 moderate, 0.2 HiSel.
   double selectivity = 1.0;
-  int64_t tuples_per_relation = 10000;
-  int tuple_bytes = 100;
   /// Copies of every relation (1 = unreplicated). Extra copies go to the
   /// servers following the primary in round-robin order, so degree
   /// num_servers fully replicates. Must be in [1, num_servers]. With

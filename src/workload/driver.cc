@@ -466,14 +466,26 @@ void LoopRun::Finish(int warmup, bool from_arrival) {
   r.response_ci90_ms = Ci90(r.batch_means);
 }
 
+/// Crash detection and retry schedule of a closed-loop client, in virtual
+/// ms. A submission attempt against a crashed site times out after
+/// kDetectTimeoutMs; attempts are spaced by an exponential backoff from
+/// kBackoffBaseMs, x2 per attempt, capped at kBackoffCapMs. After
+/// kMaxRetries aborted attempts the client stops backing off and waits for
+/// the site to restart (a query is never abandoned: ExecSession requires
+/// every expected query to complete).
+constexpr double kDetectTimeoutMs = 100.0;
+constexpr int kMaxRetries = 8;
+constexpr double kBackoffBaseMs = 100.0;
+constexpr double kBackoffMult = 2.0;
+constexpr double kBackoffCapMs = 5000.0;
+
 /// One closed-loop client: submit, await completion, think, repeat. With a
 /// fault schedule, each submission first runs crash detection and recovery
-/// (see RetryPolicy).
+/// (see RetryPolicy and the schedule above).
 sim::Process ClientProcess(LoopRun& run, DriverResult& result,
                            const DriverConfig& driver,
                            const ClientWorkload& work, SiteId client, Rng rng) {
   sim::Simulator& sim = run.sim();
-  const RetryPolicy& retry = driver.retry;
   const Plan* plan = work.plan;
   sim::FaultState* faults = run.session().faults();
   for (int i = 0; i < driver.queries_per_client; ++i) {
@@ -483,7 +495,7 @@ sim::Process ClientProcess(LoopRun& run, DriverResult& result,
     const double issue_ms = sim.now();
     std::vector<QueryLogAttempt> attempt_log;
     if (faults != nullptr) {
-      double backoff_ms = retry.backoff_base_ms;
+      double backoff_ms = kBackoffBaseMs;
       while (true) {
         // The previous attempt's wait ran until this re-check instant.
         if (!attempt_log.empty() && attempt_log.back().wait_ms == 0.0) {
@@ -498,8 +510,8 @@ sim::Process ClientProcess(LoopRun& run, DriverResult& result,
         // The submission attempt times out against the crashed site.
         ++result.total_retries;
         attempt_log.push_back(QueryLogAttempt{sim.now(), 0.0, false});
-        co_await sim.Delay(retry.detect_timeout_ms);
-        if (retry.reoptimize && work.reopt_model != nullptr &&
+        co_await sim.Delay(kDetectTimeoutMs);
+        if (driver.retry.reoptimize && work.reopt_model != nullptr &&
             work.reopt_config != nullptr) {
           OptimizerConfig reopt = *work.reopt_config;
           reopt.unavailable_sites = faults->DownSites(sim.now());
@@ -522,7 +534,7 @@ sim::Process ClientProcess(LoopRun& run, DriverResult& result,
             continue;  // re-check and submit the recovered plan
           }
         }
-        if (static_cast<int>(attempt_log.size()) >= retry.max_retries) {
+        if (static_cast<int>(attempt_log.size()) >= kMaxRetries) {
           // Out of retries; wait for the first blocking site to restart
           // (queries are never abandoned).
           while (faults->SiteDown(down.front(), sim.now())) {
@@ -532,8 +544,7 @@ sim::Process ClientProcess(LoopRun& run, DriverResult& result,
           continue;
         }
         co_await sim.Delay(backoff_ms);
-        backoff_ms =
-            std::min(backoff_ms * retry.backoff_mult, retry.backoff_cap_ms);
+        backoff_ms = std::min(backoff_ms * kBackoffMult, kBackoffCapMs);
       }
     }
     const double submit_ms = sim.now();

@@ -37,20 +37,11 @@ struct ClientWorkload {
   const OptimizerConfig* reopt_config = nullptr;
 };
 
-/// How a client reacts when its plan depends on a crashed site. All delays
-/// are virtual time.
+/// How a client reacts when its plan depends on a crashed site. Each
+/// aborted attempt takes a fixed detection timeout and a capped exponential
+/// backoff; after a fixed number of attempts the client waits for the site
+/// to restart (the schedule is stated beside ClientProcess).
 struct RetryPolicy {
-  /// Time a submission attempt takes to detect the dead site (the request
-  /// timeout), charged per aborted attempt.
-  double detect_timeout_ms = 100.0;
-  /// Aborted attempts per query before the client stops backing off and
-  /// simply waits for the crashed site to restart (a query is never
-  /// abandoned: ExecSession requires every expected query to complete).
-  int max_retries = 8;
-  /// Exponential backoff between attempts.
-  double backoff_base_ms = 100.0;
-  double backoff_mult = 2.0;
-  double backoff_cap_ms = 5000.0;
   /// Re-run site selection around crashed sites (needs the workload's
   /// reopt_model / reopt_config; ignored without them).
   bool reoptimize = true;

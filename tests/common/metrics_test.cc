@@ -54,6 +54,12 @@ TEST(HistogramTest, DefaultConstructedHasNoBuckets) {
 
 TEST(HistogramTest, BucketAssignment) {
   Histogram hist({1.0, 10.0});
+  EXPECT_TRUE(hist.has_buckets());
+  EXPECT_EQ(hist.count(), 0);
+  EXPECT_EQ(hist.sum(), 0.0);
+  EXPECT_EQ(hist.min(), 0.0);
+  EXPECT_EQ(hist.max(), 0.0);
+  for (int64_t c : hist.bucket_counts()) EXPECT_EQ(c, 0);
   hist.Add(0.5);    // <= 1.0
   hist.Add(1.0);    // <= 1.0 (bounds are inclusive upper limits)
   hist.Add(5.0);    // <= 10.0
@@ -99,18 +105,6 @@ TEST(HistogramTest, MergeEmptyIsNoOp) {
   Histogram empty;
   a.Merge(empty);
   EXPECT_EQ(a.count(), 1);
-}
-
-TEST(HistogramTest, ResetClearsSamplesButKeepsBounds) {
-  Histogram hist({1.0, 10.0});
-  hist.Add(5.0);
-  hist.Reset();
-  EXPECT_TRUE(hist.has_buckets());
-  EXPECT_EQ(hist.count(), 0);
-  EXPECT_EQ(hist.sum(), 0.0);
-  EXPECT_EQ(hist.min(), 0.0);
-  EXPECT_EQ(hist.max(), 0.0);
-  for (int64_t c : hist.bucket_counts()) EXPECT_EQ(c, 0);
 }
 
 TEST(HistogramTest, DefaultTimeBoundsAreAscending) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,18 +12,16 @@
 namespace dimsum {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsFutureValue) {
-  ThreadPool pool(4);
-  auto future = pool.Submit([] { return 42; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1);
   const auto caller = std::this_thread::get_id();
-  auto future = pool.Submit([caller] { return std::this_thread::get_id() == caller; });
-  EXPECT_TRUE(future.get());
+  std::vector<int> on_caller(8, 0);
+  pool.ParallelFor(8, [&](int i) {
+    on_caller[static_cast<std::size_t>(i)] =
+        std::this_thread::get_id() == caller ? 1 : 0;
+  });
+  for (int inline_run : on_caller) EXPECT_EQ(inline_run, 1);
 }
 
 TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
@@ -82,20 +79,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     pool.ParallelFor(4, [&](int) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 16);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsSubmittedTasks) {
-  std::atomic<int> completed{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 12; ++i) {
-      pool.Submit([&completed] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        completed.fetch_add(1);
-      });
-    }
-  }  // destructor must drain the queue and join
-  EXPECT_EQ(completed.load(), 12);
 }
 
 TEST(ThreadPoolTest, ThreadCountFromEnvParsing) {

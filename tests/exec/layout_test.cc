@@ -18,17 +18,9 @@ TEST(DiskSpaceTest, TempRegionStartsAtMidDisk) {
   const int64_t temp = space.AllocateTemp(10);
   EXPECT_EQ(temp, params.total_pages() / 2);
   EXPECT_GT(temp, space.AllocateBase(100));
-}
-
-TEST(DiskSpaceTest, ResetTempReleasesTempOnly) {
-  DiskSpace space{sim::DiskParams{}};
-  space.AllocateBase(100);
-  const int64_t first = space.AllocateTemp(50);
-  space.AllocateTemp(50);
-  EXPECT_EQ(space.temp_pages_used(), 100);
-  space.ResetTemp();
-  EXPECT_EQ(space.temp_pages_used(), 0);
-  EXPECT_EQ(space.AllocateTemp(10), first);
+  // Temp extents are contiguous too, and never count as base pages.
+  EXPECT_EQ(space.AllocateTemp(50), temp + 10);
+  EXPECT_EQ(space.temp_pages_used(), 60);
   EXPECT_EQ(space.base_pages_used(), 100);
 }
 

@@ -70,12 +70,12 @@ TEST(NavigationTest, HighLocalityFavorsDataShipping) {
 TEST(NavigationTest, ScatteredAccessWithTinyClientBufferFavorsRpcs) {
   // With no locality and a client buffer far smaller than the working set,
   // the client faults 4 KB pages repeatedly while the server-side buffer
-  // can answer object RPCs from memory.
+  // (512 pages) holds the whole 250-page extent and so can answer object
+  // RPCs from memory.
   Catalog catalog = OneRelationCatalog();
   SystemConfig config = DefaultConfig();
   NavigationSpec spec = Spec(0.0, 4000);
   spec.client_buffer_pages = 8;
-  spec.server_buffer_pages = 250;  // server holds the whole extent
   NavigationResult ds =
       RunNavigation(spec, catalog, config, NavigationPolicy::kDataShipping);
   NavigationResult qs =
@@ -100,10 +100,10 @@ TEST(NavigationTest, ServerBufferAbsorbsRepeatedReads) {
   Catalog catalog = OneRelationCatalog();
   SystemConfig config = DefaultConfig();
   NavigationSpec spec = Spec(0.0, 4000);
-  spec.server_buffer_pages = 250;
   NavigationResult qs =
       RunNavigation(spec, catalog, config, NavigationPolicy::kQueryShipping);
-  // At most one disk read per page of the relation.
+  // The server buffer holds the whole relation, so at most one disk read
+  // per page of it.
   EXPECT_LE(qs.server_disk_reads, 250);
   EXPECT_GT(qs.server_disk_reads, 0);
 }

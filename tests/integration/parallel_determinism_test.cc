@@ -126,7 +126,7 @@ TEST_F(ParallelDeterminismTest, ReplicateMatchesSequentialSemantics) {
   for (int i = 0; i < options.max_replications; ++i) {
     reference.Add(trial(1 + static_cast<uint64_t>(i)));
     if (i + 1 >= options.min_replications &&
-        reference.WithinRelativeError(options.relative_error)) {
+        reference.WithinRelativeError(kReplicationRelativeError)) {
       break;
     }
   }

@@ -111,7 +111,6 @@ TEST(ExtendedOpsTest, AnnotationMovesCoverNewOperators) {
   Plan plan(MakeDisplay(std::move(agg)));
   TransformConfig config;
   config.join_order_moves = false;
-  config.allow_commute = false;
   // scans: 1 alternative each (2), join: 2, aggregate: 1 -> 5 candidates.
   EXPECT_EQ(CountMoveCandidates(plan, config), 5);
 }

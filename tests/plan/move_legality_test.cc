@@ -134,7 +134,6 @@ TEST(MoveLegalityTest, LocalVerdictMatchesFullCheckOnRandomWalks) {
             config.space = PolicySpace::For(policy);
             config.require_linear = linear;
             config.join_order_moves = join_order;
-            config.allow_commute = join_order;
             config.catalog = &catalog;
             checked += WalkAndCheck(*query, config, seed++);
             ASSERT_FALSE(HasFailure())

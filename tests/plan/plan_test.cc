@@ -148,7 +148,6 @@ TEST(ValidateTest, LinearAndBushyShapes) {
       SiteAnnotation::kConsumer);
   Plan bushy(MakeDisplay(std::move(bushy_join)));
   EXPECT_FALSE(IsLinear(bushy));
-  EXPECT_TRUE(IsBushy(bushy));
 }
 
 TEST(PrinterTest, RendersAnnotations) {

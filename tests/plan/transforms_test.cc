@@ -141,7 +141,6 @@ TEST(MoveTest, AnnotationOnlySpaceWithoutJoinOrderMoves) {
   QueryGraph query = QueryGraph::Chain({0, 1, 2});
   TransformConfig config = ConfigFor(ShippingPolicy::kHybridShipping);
   config.join_order_moves = false;
-  config.allow_commute = false;
   Rng rng(8);
   Plan plan = RandomPlan(query, config, rng);
   const std::string original_shape = PlanToString(plan);
@@ -169,10 +168,11 @@ TEST(MoveTest, AnnotationOnlySpaceWithoutJoinOrderMoves) {
 TEST(MoveTest, DataShippingHasNoAnnotationMoves) {
   QueryGraph query = QueryGraph::Chain({0, 1});
   TransformConfig config = ConfigFor(ShippingPolicy::kDataShipping);
-  config.allow_commute = false;
+  config.join_order_moves = false;
   Rng rng(9);
   Plan plan = RandomPlan(query, config, rng);
-  // A 2-way join in DS space with no commute has no legal moves at all.
+  // DS allows one annotation per operator, so with join-order moves (and
+  // with them the commute) off a 2-way join has no candidate at all.
   EXPECT_EQ(CountMoveCandidates(plan, config), 0);
 }
 
@@ -231,7 +231,6 @@ TEST(MoveTest, ReplicaMovesRepointScansWithinCopySet) {
   Catalog replicated = ReplicatedCatalog(2, 2, /*degree=*/2);
   TransformConfig config = ConfigFor(ShippingPolicy::kQueryShipping);
   config.join_order_moves = false;
-  config.allow_commute = false;
   config.catalog = &replicated;
   Rng rng(22);
   Plan plan = RandomPlan(query, config, rng);

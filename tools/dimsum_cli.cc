@@ -64,36 +64,29 @@ struct CliOptions {
   int threads = 0;  // 0 = keep DIMSUM_THREADS / hardware default
   bool random_placement = false;
   bool print_plan = false;
-  /// Chrome trace-event JSON output path ("" = no trace). Falls back to
-  /// the DIMSUM_TRACE environment variable.
+  /// Chrome trace-event JSON output path ("" = no trace).
   std::string trace_file;
   /// Metrics snapshot JSON output path ("" = no metrics). Falls back to
   /// the DIMSUM_METRICS environment variable.
   std::string metrics_file;
-  /// Wide-event query-log JSONL output path ("" = no log). Falls back to
-  /// the DIMSUM_QUERY_LOG environment variable. The single-query run emits
-  /// one dimsum.querylog.v1 record with the critical-path decomposition.
+  /// Wide-event query-log JSONL output path ("" = no log). The
+  /// single-query run emits one dimsum.querylog.v1 record with the
+  /// critical-path decomposition.
   std::string query_log_file;
-  /// Fault-injection spec ("" = healthy). Falls back to the DIMSUM_FAULTS
-  /// environment variable. See sim/fault.h for the grammar.
+  /// Fault-injection spec ("" = healthy). See sim/fault.h for the grammar.
   std::string faults_spec;
-  /// EXPLAIN ANALYZE mode. Only meaningful when explain_set; otherwise the
-  /// DIMSUM_EXPLAIN environment variable is consulted.
+  /// EXPLAIN ANALYZE mode.
   ExplainMode explain = ExplainMode::kOff;
-  bool explain_set = false;
-  /// Telemetry sampling interval, virtual ms (0 = off). Only meaningful
-  /// when telemetry_set; otherwise DIMSUM_TELEMETRY is consulted.
+  /// Telemetry sampling interval, virtual ms (0 = off).
   double telemetry_interval_ms = 0.0;
-  bool telemetry_set = false;
-  /// Telemetry JSON output path; env fallback DIMSUM_TELEMETRY_OUT, then
-  /// "telemetry.json".
+  /// Telemetry JSON output path ("" = "telemetry.json").
   std::string telemetry_file;
 };
 
-/// Parses an --telemetry / DIMSUM_TELEMETRY value into a sampling interval
-/// in virtual ms: "" and "1" select the 10 ms default, "0" and "off"
-/// disable, and any positive number sets the interval directly. Returns
-/// nullopt on anything else so callers can reject it.
+/// Parses an --telemetry value into a sampling interval in virtual ms: ""
+/// and "1" select the 10 ms default, "0" and "off" disable, and any
+/// positive number sets the interval directly. Returns nullopt on anything
+/// else so callers can reject it.
 std::optional<double> ParseTelemetryInterval(const std::string& value) {
   if (value.empty() || value == "1") return 10.0;
   if (value == "0" || value == "off") return 0.0;
@@ -105,8 +98,8 @@ std::optional<double> ParseTelemetryInterval(const std::string& value) {
   return interval;
 }
 
-/// Env-var fallback for the observability outputs: the variable holds the
-/// output path; empty or "0" means disabled.
+/// Env-var fallback for the metrics output: the variable holds the output
+/// path; empty or "0" means disabled.
 std::string EnvPath(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr || value[0] == '\0' ||
@@ -160,8 +153,7 @@ void PrintUsage() {
       "  --random-placement       place relations randomly (default RR)\n"
       "  --print-plan             print the chosen plan\n"
       "  --trace=FILE             write a Chrome trace-event JSON of the\n"
-      "                           execution (open in Perfetto); env\n"
-      "                           fallback DIMSUM_TRACE\n"
+      "                           execution (open in Perfetto)\n"
       "  --metrics=FILE           write a metrics snapshot JSON (optimizer\n"
       "                           move counters, disk/network histograms);\n"
       "                           env fallback DIMSUM_METRICS\n"
@@ -170,14 +162,13 @@ void PrintUsage() {
       "                           fan-out, per-resource split, and the\n"
       "                           critical-path decomposition of response\n"
       "                           time; collection never perturbs the\n"
-      "                           simulation; env fallback DIMSUM_QUERY_LOG\n"
+      "                           simulation\n"
       "  --explain[=text|json]    EXPLAIN ANALYZE: per-operator estimated\n"
       "                           vs simulated cost attribution. text\n"
       "                           (default) appends an annotated plan tree\n"
       "                           and phase/site roll-ups; json prints only\n"
       "                           a dimsum.explain.v1 document on stdout\n"
-      "                           (human output moves to stderr); env\n"
-      "                           fallback DIMSUM_EXPLAIN=1|text|json.\n"
+      "                           (human output moves to stderr).\n"
       "                           Collection never perturbs the simulation\n"
       "  --telemetry[=MS]         sample per-resource utilization, queue\n"
       "                           depth, and buffer-pool occupancy every MS\n"
@@ -185,18 +176,15 @@ void PrintUsage() {
       "                           10 ms default; =0|off disables; any other\n"
       "                           positive number is the interval) and\n"
       "                           write a dimsum.telemetry.v1 JSON;\n"
-      "                           sampling never perturbs the simulation;\n"
-      "                           env fallback DIMSUM_TELEMETRY=1|MS\n"
+      "                           sampling never perturbs the simulation\n"
       "  --telemetry-out=FILE     telemetry JSON path (default\n"
-      "                           telemetry.json); env fallback\n"
-      "                           DIMSUM_TELEMETRY_OUT\n"
+      "                           telemetry.json)\n"
       "  --faults=SPEC            inject faults; ';'-separated clauses:\n"
       "                           crash:site=S,at=T,for=D (one-shot) or\n"
       "                           crash:site=S,mtbf=M,mttr=R[,seed=N]\n"
       "                           (renewal), link:drop,... / link:delay=F,...\n"
-      "                           (times in virtual ms); env fallback\n"
-      "                           DIMSUM_FAULTS. Deterministic for a fixed\n"
-      "                           seed\n"
+      "                           (times in virtual ms). Deterministic for\n"
+      "                           a fixed seed\n"
       "  --help                   this message\n";
 }
 
@@ -333,7 +321,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->telemetry_interval_ms = *interval;
-      options->telemetry_set = true;
     } else if (arg == "--explain" || ParseFlag(arg, "explain", &value)) {
       const std::optional<ExplainMode> mode = ParseExplainMode(value);
       if (!mode.has_value()) {
@@ -342,7 +329,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->explain = *mode;
-      options->explain_set = true;
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return false;
@@ -377,47 +363,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
 
 int RunCli(const CliOptions& options) {
   if (options.threads > 0) SetGlobalThreadCount(options.threads);
-  const std::string trace_file = !options.trace_file.empty()
-                                     ? options.trace_file
-                                     : EnvPath("DIMSUM_TRACE");
+  const std::string& trace_file = options.trace_file;
+  // The metrics registry is also enabled from DIMSUM_METRICS at start-up,
+  // so the CLI honours the variable too.
   const std::string metrics_file = !options.metrics_file.empty()
                                        ? options.metrics_file
                                        : EnvPath("DIMSUM_METRICS");
-  const std::string faults_spec = !options.faults_spec.empty()
-                                      ? options.faults_spec
-                                      : EnvPath("DIMSUM_FAULTS");
-  const std::string query_log_file = !options.query_log_file.empty()
-                                         ? options.query_log_file
-                                         : EnvPath("DIMSUM_QUERY_LOG");
-  ExplainMode explain = ExplainMode::kOff;
-  if (options.explain_set) {
-    explain = options.explain;
-  } else if (const char* env = std::getenv("DIMSUM_EXPLAIN");
-             env != nullptr && env[0] != '\0') {
-    const std::optional<ExplainMode> mode = ParseExplainMode(env);
-    if (!mode.has_value()) {
-      std::cerr << "invalid DIMSUM_EXPLAIN value: " << env
-                << " (expected 1, text, or json)\n";
-      return 1;
-    }
-    explain = *mode;
-  }
-  double telemetry_interval_ms = 0.0;
-  if (options.telemetry_set) {
-    telemetry_interval_ms = options.telemetry_interval_ms;
-  } else if (const char* env = std::getenv("DIMSUM_TELEMETRY");
-             env != nullptr && env[0] != '\0') {
-    const std::optional<double> interval = ParseTelemetryInterval(env);
-    if (!interval.has_value()) {
-      std::cerr << "invalid DIMSUM_TELEMETRY value: " << env
-                << " (expected a positive virtual-ms period, or off)\n";
-      return 1;
-    }
-    telemetry_interval_ms = *interval;
-  }
-  std::string telemetry_file = options.telemetry_file;
-  if (telemetry_file.empty()) telemetry_file = EnvPath("DIMSUM_TELEMETRY_OUT");
-  if (telemetry_file.empty()) telemetry_file = "telemetry.json";
+  const std::string& faults_spec = options.faults_spec;
+  const std::string& query_log_file = options.query_log_file;
+  const ExplainMode explain = options.explain;
+  const double telemetry_interval_ms = options.telemetry_interval_ms;
+  const std::string telemetry_file = options.telemetry_file.empty()
+                                         ? "telemetry.json"
+                                         : options.telemetry_file;
   // In JSON mode stdout carries exactly one dimsum.explain.v1 document, so
   // the human-readable report moves to stderr.
   std::ostream& txt =

@@ -9,7 +9,6 @@ Covers the query-log contract:
     and without the flag (modulo the one "query log:" status line), and
     byte-identical under --explain=json (the notice moves to stderr);
   * a bare --query-log (no path) is rejected with a diagnostic;
-  * the DIMSUM_QUERY_LOG env var mirrors the flag ("" and "0" disable);
   * the record is invariant under DIMSUM_THREADS.
 
 Usage: test_cli_querylog.py <path-to-dimsum_cli>
@@ -26,13 +25,12 @@ BASE = ["--policy=hy", "--relations=4", "--servers=2", "--cached=0.25"]
 failures = []
 
 
-def run(args, env=None, check=True, cwd=None):
+def run(args, env=None, check=True):
     full_env = dict(os.environ)
-    full_env.pop("DIMSUM_QUERY_LOG", None)
     if env:
         full_env.update(env)
     proc = subprocess.run(
-        [CLI] + args, capture_output=True, text=True, env=full_env, cwd=cwd
+        [CLI] + args, capture_output=True, text=True, env=full_env
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -101,19 +99,6 @@ def main():
                    f"reject: {args[0]} exits nonzero")
             expect("query-log" in proc.stderr,
                    f"reject: diagnostic names flag for {args[0]}")
-
-        # Env var mirrors the flag; "" and "0" disable.
-        env_out = os.path.join(tmp, "env.jsonl")
-        run(BASE, env={"DIMSUM_QUERY_LOG": env_out})
-        expect(load_record(env_out)["schema"] == "dimsum.querylog.v1",
-               "env: DIMSUM_QUERY_LOG honored")
-        for value in ("", "0"):
-            off_out = os.path.join(tmp, "off.jsonl")
-            if os.path.exists(off_out):
-                os.unlink(off_out)
-            run(BASE, env={"DIMSUM_QUERY_LOG": value}, cwd=tmp)
-            expect(not os.path.exists(off_out),
-                   f"env: DIMSUM_QUERY_LOG={value!r} writes no file")
 
         # Non-perturbation: stdout identical with and without the log,
         # modulo the appended status line.
