@@ -15,9 +15,17 @@ namespace {
 /// Post-order, so inputs are bound first: in a well-formed plan an
 /// operator never points at a consumer-annotated input (that would be a
 /// two-node cycle), so the input it follows is always bound by then.
-void BindFromBelow(PlanNode& node, const Catalog& catalog, SiteId client) {
-  if (node.left) BindFromBelow(*node.left, catalog, client);
-  if (node.right) BindFromBelow(*node.right, catalog, client);
+/// Check-fails, before descending, on a node that is misshapen or forms a
+/// cycle with a child, so together the checks require a structurally
+/// valid, well-formed plan.
+void BindFromBelow(PlanNode& node, bool is_root, const Catalog& catalog,
+                   SiteId client) {
+  DIMSUM_CHECK(ValidNodeShape(node, is_root))
+      << "plan is not structurally valid";
+  DIMSUM_CHECK(WellFormedEdges(node))
+      << "plan is not well-formed (two-node annotation cycle)";
+  if (node.left) BindFromBelow(*node.left, false, catalog, client);
+  if (node.right) BindFromBelow(*node.right, false, catalog, client);
   if (node.type == OpType::kDisplay) {
     node.bound_site = client;
   } else if (node.type == OpType::kScan) {
@@ -58,8 +66,7 @@ void BindFromAbove(PlanNode& node, SiteId parent_site) {
 }  // namespace
 
 void BindSites(Plan& plan, const Catalog& catalog, SiteId client) {
-  DIMSUM_CHECK(IsStructurallyValid(plan));
-  DIMSUM_CHECK(IsWellFormed(plan));
+  DIMSUM_CHECK(!plan.empty());
   DIMSUM_CHECK(catalog.IsClientSite(client))
       << "home client " << client << " is not a client site (catalog has "
       << catalog.num_clients() << " clients)";
@@ -67,7 +74,7 @@ void BindSites(Plan& plan, const Catalog& catalog, SiteId client) {
   // relation, producer) or to its parent (consumer); well-formedness rules
   // out the only cycles a tree allows, so one pass in each direction
   // reaches the fixpoint.
-  BindFromBelow(*plan.root(), catalog, client);
+  BindFromBelow(*plan.root(), /*is_root=*/true, catalog, client);
   BindFromAbove(*plan.root(), kUnboundSite);
 }
 

@@ -117,6 +117,7 @@ std::unique_ptr<PlanNode> Rewrite(const PlanNode& node,
 }  // namespace
 
 bool NeedsShardExpansion(const Plan& plan, const Catalog& catalog) {
+  if (!catalog.sharded()) return false;
   bool needs = false;
   plan.ForEach([&](const PlanNode& node) {
     if (IsLogicalShardedScan(node, catalog)) needs = true;

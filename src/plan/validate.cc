@@ -8,39 +8,11 @@ namespace dimsum {
 namespace {
 
 bool StructurallyValidNode(const PlanNode& node, bool is_root) {
-  if ((node.type == OpType::kDisplay) != is_root) return false;
-  if (!AnnotationFitsType(node.type, node.annotation)) return false;
-  if (IsBinaryOp(node.type)) {
-    if (node.left == nullptr || node.right == nullptr) return false;
-  } else if (node.type == OpType::kScan) {
-    if (node.left != nullptr || node.right != nullptr) return false;
-    if (node.relation == kInvalidRelation) return false;
-  } else {  // display or a unary operator
-    if (node.left == nullptr || node.right != nullptr) return false;
-  }
+  if (!ValidNodeShape(node, is_root)) return false;
   bool valid = true;
   if (node.left) valid &= StructurallyValidNode(*node.left, false);
   if (node.right) valid &= StructurallyValidNode(*node.right, false);
   return valid;
-}
-
-/// True if the parent's annotation points at this particular child.
-bool ParentPointsAtChild(const PlanNode& parent, bool child_is_left) {
-  if (IsBinaryOp(parent.type)) {
-    return (parent.annotation == SiteAnnotation::kInnerRel &&
-            child_is_left) ||
-           (parent.annotation == SiteAnnotation::kOuterRel && !child_is_left);
-  }
-  if (IsUnaryOp(parent.type)) {
-    return parent.annotation == SiteAnnotation::kProducer;
-  }
-  return false;
-}
-
-/// True if the child's annotation points at its parent.
-bool ChildPointsAtParent(const PlanNode& child) {
-  return (IsBinaryOp(child.type) || IsUnaryOp(child.type)) &&
-         child.annotation == SiteAnnotation::kConsumer;
 }
 
 bool WellFormedNode(const PlanNode& node) {
@@ -128,15 +100,36 @@ bool AnnotationFitsType(OpType type, SiteAnnotation annotation) {
   return annotation == SA::kConsumer || annotation == SA::kProducer;
 }
 
-bool WellFormedEdges(const PlanNode& node) {
-  for (const bool left : {true, false}) {
-    const PlanNode* child = left ? node.left.get() : node.right.get();
-    if (child != nullptr && ChildPointsAtParent(*child) &&
-        ParentPointsAtChild(node, left)) {
-      return false;  // two-node annotation cycle
-    }
+bool ValidNodeShape(const PlanNode& node, bool is_root) {
+  if ((node.type == OpType::kDisplay) != is_root) return false;
+  if (!AnnotationFitsType(node.type, node.annotation)) return false;
+  if (IsBinaryOp(node.type)) {
+    return node.left != nullptr && node.right != nullptr;
   }
-  return true;
+  if (node.type == OpType::kScan) {
+    return node.left == nullptr && node.right == nullptr &&
+           node.relation != kInvalidRelation;
+  }
+  // The display or a unary operator.
+  return node.left != nullptr && node.right == nullptr;
+}
+
+bool IsAnnotationCycle(const PlanNode& parent, bool left) {
+  const PlanNode* child = left ? parent.left.get() : parent.right.get();
+  if (child == nullptr || child->annotation != SiteAnnotation::kConsumer ||
+      !(IsBinaryOp(child->type) || IsUnaryOp(child->type))) {
+    return false;
+  }
+  if (IsBinaryOp(parent.type)) {
+    return parent.annotation ==
+           (left ? SiteAnnotation::kInnerRel : SiteAnnotation::kOuterRel);
+  }
+  return IsUnaryOp(parent.type) &&
+         parent.annotation == SiteAnnotation::kProducer;
+}
+
+bool WellFormedEdges(const PlanNode& node) {
+  return !IsAnnotationCycle(node, true) && !IsAnnotationCycle(node, false);
 }
 
 uint64_t ScannedSet(const PlanNode& node, const RelationSets& sets) {

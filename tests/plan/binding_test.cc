@@ -181,5 +181,20 @@ TEST(BindingDeathTest, IllFormedPlanRefusesToBind) {
   EXPECT_DEATH(BindSites(plan, catalog), "check failed");
 }
 
+TEST(BindingDeathTest, StructurallyInvalidPlanRefusesToBind) {
+  Catalog catalog = MakeCatalog(2, 2);
+  // A join with one child: the walk must refuse it before descending.
+  Plan one_child(MakeDisplay(MakeJoin(MakeScan(0, SiteAnnotation::kPrimaryCopy),
+                                      MakeScan(1, SiteAnnotation::kPrimaryCopy),
+                                      SiteAnnotation::kOuterRel)));
+  one_child.root()->left->right.reset();
+  ASSERT_FALSE(IsStructurallyValid(one_child));
+  EXPECT_DEATH(BindSites(one_child, catalog), "not structurally valid");
+  // A display below the root.
+  Plan nested(MakeDisplay(MakeDisplay(MakeScan(0, SiteAnnotation::kClient))));
+  ASSERT_FALSE(IsStructurallyValid(nested));
+  EXPECT_DEATH(BindSites(nested, catalog), "not structurally valid");
+}
+
 }  // namespace
 }  // namespace dimsum

@@ -62,8 +62,9 @@ LAYERS = [
     ("GHK92 coster (`cost/`)",
      r"\bdimsum::(Builder|SiteIndex|EstimateTime|Annotate|Compute\w*Stats|"
      r"ComputeHashJoinModel|CostModel|\w*Cost\w*|\w*Cardinality\w*)\b"),
-    # VisitCandidates, ApplyMove and FindSlot are gone from the source;
-    # their names stay so a copy of this script profiles older commits.
+    # VisitCandidates, ApplyMove, FindSlot, ParentPointsAtChild and
+    # ChildPointsAtParent are gone from the source; their names stay so a
+    # copy of this script profiles older commits.
     ("plan moves, legality and binding (`plan/`)",
      r"\bdimsum::(PlanNode|Plan|TryRandomMove|VisitCandidates|MatchesQuery|"
      r"ScannedRelations|InSpace|WellFormedNode|StructurallyValidNode|"
@@ -71,6 +72,8 @@ LAYERS = [
      r"CountMoveCandidates|VisitNodeCandidates|Walk(Subtree|BelowDisplay)|"
      r"Apply(Candidate|RandomMove|ToNode)|CandidateMoveType|MoveIsLegal|"
      r"IsRotation|UndoMove|AnnotationFitsType|WellFormedEdges|ScannedSet|"
+     r"ValidNodeShape|IsAnnotationCycle|ParentPointsAtChild|"
+     r"ChildPointsAtParent|"
      r"ContainsJoin|HasJoin|Is(StructurallyValid|WellFormed|Linear)|"
      r"InPolicySpace|Pick(Annotation|Replica)|RandomizeAnnotations|"
      r"Bind\w*|BoundServerSites|Make(Display|Join|Scan|Fragment)|ExpandScan|"
