@@ -1,14 +1,110 @@
 #include "sim/disk.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/trace.h"
 
 namespace dimsum::sim {
 
+ControllerCache::ControllerCache(int capacity) : capacity_(capacity) {
+  DIMSUM_CHECK_GE(capacity_, 0);
+}
+
+const ControllerCache::Page* ControllerCache::Find(int64_t block) const {
+  const int index = IndexOf(block);
+  return index < 0 ? nullptr : &ring_[Slot(index)];
+}
+
+void ControllerCache::Insert(int64_t block, double available_at) {
+  if (capacity_ == 0) return;
+  if (ring_.empty()) {
+    ring_.resize(capacity_);
+    counts_.resize(kBuckets);
+  }
+  if (const int index = IndexOf(block); index >= 0) {
+    Page& page = ring_[Slot(index)];
+    page.available_at = std::min(page.available_at, available_at);
+    return;
+  }
+  // When full, the new page takes the oldest one's slot.
+  const int slot = Slot(size_);
+  if (size_ == capacity_) {
+    Uncount(ring_[head_].block);
+    if (++head_ == capacity_) head_ = 0;
+  } else {
+    ++size_;
+  }
+  ring_[slot] = Page{block, available_at};
+  Count(block);
+  if (fresh_ < capacity_) ++fresh_;
+}
+
+void ControllerCache::Erase(int64_t block) {
+  const int index = IndexOf(block);
+  if (index < 0) return;
+  Uncount(block);
+  for (int i = index + 1; i < size_; ++i) ring_[Slot(i - 1)] = ring_[Slot(i)];
+  --size_;
+}
+
+void ControllerCache::DropDueAfter(double now) {
+  // The previous drop left no page due after its own time, and a re-insert
+  // only moves a page earlier, so every page inserted before it is due by
+  // `now` unless time ran backwards. Only the fresh pages, the newest in
+  // insertion order, need a look.
+  const int scan = now >= dropped_at_ ? std::min(fresh_, size_) : size_;
+  dropped_at_ = now;
+  fresh_ = 0;
+  int kept = size_ - scan;
+  int from = Slot(kept);
+  int to = from;
+  for (int i = size_ - scan; i < size_; ++i) {
+    const Page page = ring_[from];
+    if (page.available_at > now) {
+      Uncount(page.block);
+    } else {
+      ring_[to] = page;
+      if (++to == capacity_) to = 0;
+      ++kept;
+    }
+    if (++from == capacity_) from = 0;
+  }
+  size_ = kept;
+}
+
+std::vector<ControllerCache::Page> ControllerCache::Pages() const {
+  std::vector<Page> pages;
+  for (int i = 0; i < size_; ++i) pages.push_back(ring_[Slot(i)]);
+  return pages;
+}
+
+int ControllerCache::IndexOf(int64_t block) const {
+  if (size_ == 0 || counts_[Bucket(block)] == 0) return -1;
+  int slot = Slot(size_ - 1);
+  for (int index = size_ - 1; index >= 0; --index) {
+    if (ring_[slot].block == block) return index;
+    slot = (slot == 0 ? capacity_ : slot) - 1;
+  }
+  return -1;
+}
+
+void ControllerCache::Count(int64_t block) {
+  uint8_t& count = counts_[Bucket(block)];
+  if (count != kSaturated) ++count;
+}
+
+void ControllerCache::Uncount(int64_t block) {
+  uint8_t& count = counts_[Bucket(block)];
+  if (count != kSaturated) --count;
+}
+
 Disk::Disk(Simulator& sim, std::string name, const DiskParams& params)
-    : sim_(sim), name_(std::move(name)), params_(params) {
+    : sim_(sim), name_(std::move(name)), params_(params),
+      cache_(params.cache_pages) {
   DIMSUM_CHECK_GT(params_.pages_per_track, 0);
   DIMSUM_CHECK_GE(params_.pages_per_cylinder, params_.pages_per_track);
   DIMSUM_CHECK_GT(params_.num_cylinders, 0);
@@ -18,7 +114,7 @@ Disk::Disk(Simulator& sim, std::string name, const DiskParams& params)
   DIMSUM_CHECK_GE(params_.seek_factor_ms, 0.0);
   DIMSUM_CHECK_GE(params_.controller_overhead_ms, 0.0);
   DIMSUM_CHECK_GE(params_.readahead_pages, 0);
-  DIMSUM_CHECK_GE(params_.cache_pages, 0);
+  // cache_ has checked cache_pages.
   DIMSUM_CHECK_GE(params_.max_pending_writes, 1);
 }
 
@@ -42,10 +138,11 @@ void Disk::SubmitRead(int64_t block, std::coroutine_handle<> handle,
   DIMSUM_CHECK_GE(block, 0);
   DIMSUM_CHECK_LT(block, params_.total_pages());
   ++reads_;
-  if (const auto* page = CacheFind(block)) {
+  if (const ControllerCache::Page* page = cache_.Find(block)) {
     // Controller cache hit: served without the arm.
     ++cache_hits_;
-    const double wait = std::max(0.0, page->second - sim_.now());
+    const double available_at = page->available_at;
+    const double wait = std::max(0.0, available_at - sim_.now());
     if (stats != nullptr) {
       stats->wait_ms += wait;
       stats->service_ms +=
@@ -56,7 +153,7 @@ void Disk::SubmitRead(int64_t block, std::coroutine_handle<> handle,
                      {{"block", static_cast<double>(block)},
                       {"wait_ms", wait}});
     }
-    ExtendReadAhead(block, std::max(page->second, sim_.now()));
+    ExtendReadAhead(block, std::max(available_at, sim_.now()));
     sim_.Resume(
         wait + params_.transfer_ms() + params_.controller_overhead_ms,
         handle);
@@ -71,8 +168,7 @@ void Disk::SubmitWrite(int64_t block) {
   ++writes_;
   ++pending_writes_;
   // A write makes any cached copy of this page stale.
-  std::erase_if(cache_,
-                [block](const auto& page) { return page.first == block; });
+  cache_.Erase(block);
   EnqueueArm(ArmRequest{block, /*is_write=*/true, {}, sim_.now()});
 }
 
@@ -199,7 +295,7 @@ void Disk::CompleteArm(const ArmRequest& request) {
     return;
   }
   // Read miss completed: start a fresh read-ahead stream behind it.
-  CacheInsert(request.block, sim_.now());
+  cache_.Insert(request.block, sim_.now());
   stream_next_ = request.block + 1;
   stream_time_ = sim_.now() + params_.transfer_ms();
   ExtendReadAhead(request.block, sim_.now());
@@ -217,7 +313,7 @@ void Disk::ExtendReadAhead(int64_t block, double from_time) {
       std::min(block + params_.readahead_pages, params_.total_pages() - 1);
   const int64_t first = stream_next_;
   while (stream_next_ <= limit) {
-    CacheInsert(stream_next_, stream_time_);
+    cache_.Insert(stream_next_, stream_time_);
     ++stream_next_;
     stream_time_ += params_.transfer_ms();
   }
@@ -234,29 +330,8 @@ void Disk::ExtendReadAhead(int64_t block, double from_time) {
 
 void Disk::AbortPendingReadAhead() {
   if (stream_next_ >= 0) ++readahead_aborts_;
-  const double now = sim_.now();
-  std::erase_if(cache_, [now](const auto& page) { return page.second > now; });
+  cache_.DropDueAfter(sim_.now());
   stream_next_ = -1;
-}
-
-std::pair<int64_t, double>* Disk::CacheFind(int64_t block) {
-  // Newest first: a streaming reader's prefetched pages sit at the back.
-  for (auto it = cache_.rbegin(); it != cache_.rend(); ++it) {
-    if (it->first == block) return &*it;
-  }
-  return nullptr;
-}
-
-void Disk::CacheInsert(int64_t block, double available_at) {
-  if (auto* page = CacheFind(block)) {
-    page->second = std::min(page->second, available_at);
-    return;
-  }
-  // One insert overflows the cache by at most one page: evict the oldest.
-  cache_.emplace_back(block, available_at);
-  if (cache_.size() > static_cast<std::size_t>(params_.cache_pages)) {
-    cache_.erase(cache_.begin());
-  }
 }
 
 }  // namespace dimsum::sim

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -46,6 +45,72 @@ struct DiskParams {
     return static_cast<int64_t>(num_cylinders) * pages_per_cylinder;
   }
   double transfer_ms() const { return rotation_ms / pages_per_track; }
+};
+
+/// The disk controller's page cache: at most `capacity` pages, each a
+/// block and the time it is or becomes available, evicted FIFO by insert
+/// (a hit does not refresh a page). It is a ring of `capacity` slots,
+/// allocated at the first insert, plus a count of live pages per bucket
+/// (`block & 255`): a zero count proves a block absent without a scan.
+/// A count saturates at 255 and then stays there, so it never reports a
+/// cached block absent for any capacity.
+class ControllerCache {
+ public:
+  struct Page {
+    int64_t block;
+    double available_at;
+    friend bool operator==(const Page&, const Page&) = default;
+  };
+
+  /// Requires capacity >= 0; a zero capacity caches nothing.
+  explicit ControllerCache(int capacity);
+
+  /// The cached page of `block`, or null.
+  const Page* Find(int64_t block) const;
+  /// Caches `block` as available at `available_at`. A cached block keeps
+  /// its place and the earlier of the two times; otherwise, when the cache
+  /// is full, the oldest insert is evicted.
+  void Insert(int64_t block, double available_at);
+  /// Drops `block`'s page, if cached; the others keep their order.
+  void Erase(int64_t block);
+  /// Drops every page due after `now`; the others keep their order.
+  void DropDueAfter(double now);
+
+  int size() const { return size_; }
+  /// The cached pages, oldest insert first.
+  std::vector<Page> Pages() const;
+  /// The live-page count of `block`'s bucket (255 once saturated).
+  int bucket_count(int64_t block) const {
+    return counts_.empty() ? 0 : counts_[Bucket(block)];
+  }
+
+ private:
+  static constexpr std::size_t kBuckets = 256;
+  static constexpr uint8_t kSaturated = 255;
+
+  static std::size_t Bucket(int64_t block) {
+    return static_cast<std::size_t>(block) & (kBuckets - 1);
+  }
+  /// Ring slot of the i-th oldest page, 0 <= i <= size_.
+  int Slot(int i) const {
+    const int slot = head_ + i;
+    return slot >= capacity_ ? slot - capacity_ : slot;
+  }
+  /// Age rank (0 = oldest) of `block`'s page, or -1; scans newest first,
+  /// where a streaming reader's prefetched pages sit.
+  int IndexOf(int64_t block) const;
+  void Count(int64_t block);
+  void Uncount(int64_t block);
+
+  int capacity_;
+  std::vector<Page> ring_;      // capacity_ slots once allocated
+  std::vector<uint8_t> counts_;  // kBuckets counts once allocated
+  int head_ = 0;  // slot of the oldest page
+  int size_ = 0;
+  /// Pages inserted since the previous DropDueAfter (at most capacity_),
+  /// and the time it ran: every page inserted before it was due by then.
+  int fresh_ = 0;
+  double dropped_at_ = 0.0;
 };
 
 /// Detailed single-arm disk. Models elevator (SCAN) scheduling, seek as a
@@ -199,8 +264,6 @@ class Disk {
   ArmService ArmServiceTime(int64_t block) const;
   void ExtendReadAhead(int64_t block, double from_time);
   void AbortPendingReadAhead();
-  std::pair<int64_t, double>* CacheFind(int64_t block);
-  void CacheInsert(int64_t block, double available_at);
 
   int Cylinder(int64_t block) const {
     return static_cast<int>(block / params_.pages_per_cylinder);
@@ -224,9 +287,7 @@ class Disk {
   ArmService arm_service_{};
   double arm_start_ = 0.0;
 
-  // Controller cache: (block, time the page is or becomes available) for
-  // at most cache_pages blocks, oldest insert first, evicted FIFO.
-  std::vector<std::pair<int64_t, double>> cache_;
+  ControllerCache cache_;
   int64_t stream_next_ = -1;   // next block the read-ahead stream will load
   double stream_time_ = 0.0;   // when stream_next_ becomes available
 

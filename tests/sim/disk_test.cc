@@ -1,5 +1,7 @@
 #include "sim/disk.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -306,6 +308,133 @@ TEST(DiskTest, UtilizationAtFortyRequestsPerSecondIsAboutHalf) {
   sim.Spawn(LoadGen::Run(sim, disk, 40.0, kHorizon, 5));
   sim.Run();
   EXPECT_NEAR(disk.Utilization(kHorizon), 0.5, 0.08);
+}
+
+/// The controller cache as Disk kept it before the ring: one vector in
+/// insertion order, found newest first, appended to with the oldest page
+/// evicted past capacity, and filtered with std::erase_if.
+struct VectorCache {
+  std::size_t capacity;
+  std::vector<ControllerCache::Page> pages;
+
+  ControllerCache::Page* Find(int64_t block) {
+    for (auto it = pages.rbegin(); it != pages.rend(); ++it) {
+      if (it->block == block) return &*it;
+    }
+    return nullptr;
+  }
+  void Insert(int64_t block, double available_at) {
+    if (ControllerCache::Page* page = Find(block)) {
+      page->available_at = std::min(page->available_at, available_at);
+      return;
+    }
+    pages.push_back({block, available_at});
+    if (pages.size() > capacity) pages.erase(pages.begin());
+  }
+  void Erase(int64_t block) {
+    std::erase_if(pages, [block](const auto& page) {
+      return page.block == block;
+    });
+  }
+  void DropDueAfter(double now) {
+    std::erase_if(pages, [now](const auto& page) {
+      return page.available_at > now;
+    });
+  }
+};
+
+/// The cache holds the reference's pages in the same order, and each
+/// bucket's count is exact or saturated.
+::testing::AssertionResult SameCache(const ControllerCache& cache,
+                                     const VectorCache& reference) {
+  if (cache.Pages() != reference.pages) {
+    return ::testing::AssertionFailure() << "pages differ";
+  }
+  std::array<int, 256> counts{};
+  for (const ControllerCache::Page& page : reference.pages) {
+    ++counts[static_cast<std::size_t>(page.block & 255)];
+  }
+  for (int bucket = 0; bucket < 256; ++bucket) {
+    const int count = cache.bucket_count(bucket);
+    if (count != counts[bucket] && count != 255) {
+      return ::testing::AssertionFailure()
+             << "bucket " << bucket << " counts " << count << ", holds "
+             << counts[bucket];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Seeded random operation sequences with nondecreasing `now`, checked
+/// against VectorCache after every operation: inserts of random blocks
+/// (due before, at or after `now`), read-ahead-like runs of consecutive
+/// blocks, finds, erases and drops. Blocks come from twice the capacity
+/// so pages are evicted and re-inserted; with `one_bucket` every block is
+/// a multiple of 256.
+void CheckRandomizedOps(int capacity, bool one_bucket) {
+  Rng rng(20261020 + static_cast<uint64_t>(capacity));
+  const int64_t distinct = 2 * capacity + 8;
+  for (int trial = 0; trial < 10; ++trial) {
+    ControllerCache cache(capacity);
+    VectorCache reference{static_cast<std::size_t>(capacity), {}};
+    double now = 0.0;
+    for (int op = 0; op < 2000; ++op) {
+      if (rng.Bernoulli(0.3)) now += rng.Exponential(3.0);
+      const int64_t draw = rng.UniformInt(0, distinct - 1);
+      const int64_t block = one_bucket ? draw * 256 : draw;
+      const double available_at =
+          rng.Bernoulli(0.3) ? now : now + (rng.NextDouble() - 0.25) * 20.0;
+      const double kind = rng.NextDouble();
+      if (kind < 0.45) {
+        cache.Insert(block, available_at);
+        reference.Insert(block, available_at);
+      } else if (kind < 0.6) {
+        const int64_t pages = rng.UniformInt(1, 8);
+        for (int64_t i = 0; i < pages; ++i) {
+          const int64_t next = one_bucket ? block + 256 * i : block + i;
+          cache.Insert(next, available_at + 3.0 * static_cast<double>(i));
+          reference.Insert(next, available_at + 3.0 * static_cast<double>(i));
+        }
+      } else if (kind < 0.75) {
+        const ControllerCache::Page* found = cache.Find(block);
+        const ControllerCache::Page* expected = reference.Find(block);
+        ASSERT_EQ(found == nullptr, expected == nullptr)
+            << "capacity " << capacity << " trial " << trial << " op " << op;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, *expected);
+        }
+      } else if (kind < 0.85) {
+        cache.Erase(block);
+        reference.Erase(block);
+      } else {
+        cache.DropDueAfter(now);
+        reference.DropDueAfter(now);
+      }
+      ASSERT_TRUE(SameCache(cache, reference))
+          << "capacity " << capacity << " one_bucket " << one_bucket
+          << " trial " << trial << " op " << op;
+    }
+  }
+}
+
+TEST(ControllerCacheDifferentialTest, RandomizedOpsMatchTheVectorCache) {
+  for (const int capacity : {0, 1, 4, 64, 300}) {
+    CheckRandomizedOps(capacity, /*one_bucket=*/false);
+  }
+  // 300 pages in one bucket saturate its count.
+  CheckRandomizedOps(300, /*one_bucket=*/true);
+}
+
+TEST(ControllerCacheTest, DropAtAnEarlierTimeChecksEveryPage) {
+  // Only pages inserted since the previous drop can be due after a later
+  // time; a drop at an earlier time must look at every page.
+  ControllerCache cache(4);
+  cache.Insert(7, 10.0);
+  cache.DropDueAfter(20.0);
+  ASSERT_NE(cache.Find(7), nullptr);
+  cache.DropDueAfter(5.0);
+  EXPECT_EQ(cache.Find(7), nullptr);
+  EXPECT_EQ(cache.size(), 0);
 }
 
 // Builds a disk from `params`; dies if the constructor rejects them.

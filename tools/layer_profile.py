@@ -47,7 +47,7 @@ LAYERS = [
      r"Event|Fifo|Resource|FramePool|Process|Network)\b|"
      r"\bstd::\w+<dimsum::sim::(Event|Resource)\b"),
     ("disk controller cache and elevator (`sim/disk.cc`)",
-     r"\bdimsum::sim::Disk\b"),
+     r"\bdimsum::sim::(Disk|ControllerCache)\b"),
     ("fault schedule (`sim/fault.cc`)", r"\bdimsum::sim::Fault"),
     ("actuals, spans, critical paths",
      r"\bdimsum::(sim::)?(OpProbe|QuerySpans|SpansByOp|"

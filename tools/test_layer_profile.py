@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tests tools/layer_profile.py's fold of a gprof flat profile.
 
-Folds a canned eleven-row `gprof -b -p` profile and checks the parse (rows
+Folds a canned twelve-row `gprof -b -p` profile and checks the parse (rows
 with and without call counts), the layer of each function, the per-layer
 sums, the unmapped list and the rendered table. Needs neither gprof nor
 a build.
@@ -22,12 +22,13 @@ Each sample counts as 0.01 seconds.
   %   cumulative   self              self     total
  time   seconds   seconds    calls   s/call   s/call  name
  28.00      0.28     0.28        5     0.06     0.10  dimsum::ExecSession::Run()
- 20.00      0.48     0.20   525240     0.00     0.00  dimsum::sim::Disk::AbortPendingReadAhead()
- 10.00      0.58     0.10 10092541     0.00     0.00  dimsum::HashJoinProcess(dimsum::ExecContext&, dimsum::PlanNode const&, dimsum::sim::Channel<dimsum::Page>&, dimsum::sim::Channel<dimsum::Page>&)
- 10.00      0.68     0.10  5200000     0.00     0.00  void dimsum::sim::Simulator::Call<dimsum::sim::Resource::Dispatch()::{lambda()#1}>(double, dimsum::sim::Resource::Dispatch()::{lambda()#1}&&)
-  8.00      0.76     0.08  4150677     0.00     0.00  void std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> >::_M_realloc_insert<dimsum::sim::Event const&>(__gnu_cxx::__normal_iterator<dimsum::sim::Event*, std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> > >, dimsum::sim::Event const&)
-  7.00      0.83     0.07  5612800     0.00     0.00  dimsum::(anonymous namespace)::OpProbe::Chan(double, int)
-  5.00      0.88     0.05     4836     0.00     0.00  dimsum::EstimateTime(dimsum::Plan const&, dimsum::Catalog const&)
+ 15.00      0.43     0.15   525240     0.00     0.00  dimsum::sim::Disk::AbortPendingReadAhead()
+ 10.00      0.53     0.10 10092541     0.00     0.00  dimsum::HashJoinProcess(dimsum::ExecContext&, dimsum::PlanNode const&, dimsum::sim::Channel<dimsum::Page>&, dimsum::sim::Channel<dimsum::Page>&)
+ 10.00      0.63     0.10  5200000     0.00     0.00  void dimsum::sim::Simulator::Call<dimsum::sim::Resource::Dispatch()::{lambda()#1}>(double, dimsum::sim::Resource::Dispatch()::{lambda()#1}&&)
+  8.00      0.71     0.08  4150677     0.00     0.00  void std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> >::_M_realloc_insert<dimsum::sim::Event const&>(__gnu_cxx::__normal_iterator<dimsum::sim::Event*, std::vector<dimsum::sim::Event, std::allocator<dimsum::sim::Event> > >, dimsum::sim::Event const&)
+  7.00      0.78     0.07  5612800     0.00     0.00  dimsum::(anonymous namespace)::OpProbe::Chan(double, int)
+  5.00      0.83     0.05     4836     0.00     0.00  dimsum::EstimateTime(dimsum::Plan const&, dimsum::Catalog const&)
+  5.00      0.88     0.05  5440000     0.00     0.00  dimsum::sim::ControllerCache::Insert(long, double)
   4.00      0.92     0.04                             _init
   3.00      0.95     0.03   131456     0.00     0.00  dimsum::CostCache::Find(unsigned long, std::basic_string_view<char, std::char_traits<char> >) const
   3.00      0.98     0.03       12     0.00     0.00  dimsum::Mystery::Solve(dimsum::sim::Disk&)
@@ -54,8 +55,8 @@ def check(condition, message):
 
 
 rows = layer_profile.parse_flat(FLAT)
-check(len(rows) == 11, "parsed %d rows, expected 11" % len(rows))
-check(rows[7] == ("_init", 0.04), "row without call counts: %r" % (rows[7],))
+check(len(rows) == 12, "parsed %d rows, expected 12" % len(rows))
+check(rows[8] == ("_init", 0.04), "row without call counts: %r" % (rows[8],))
 
 totals, unmapped = layer_profile.fold(rows)
 check(list(totals) == [layer for layer, _ in layer_profile.LAYERS],
