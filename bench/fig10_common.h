@@ -15,12 +15,14 @@
 // itself is not charged (as in the paper).
 
 #include <algorithm>
-#include <functional>
 #include <iostream>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "harness.h"
 #include "opt/two_step.h"
+#include "plan/validate.h"
 
 namespace dimsum::bench {
 
@@ -32,39 +34,18 @@ namespace dimsum::bench {
 /// annotations are arbitrary; this canonical form reproduces the paper's
 /// observed behaviour that a static deep plan executes all joins on a
 /// single site at run time, and that deep plans cannot exploit independent
-/// parallelism among the joins (the builds chain serially).
+/// parallelism among the joins (the builds chain serially). The form is
+/// defined for scan, select, join and display plans only; any other
+/// operator fails.
 inline void CanonicalizeDeep(Plan& plan) {
   plan.ForEachMutable([](PlanNode& node) {
     switch (node.type) {
-      case OpType::kJoin: {
-        const bool left_has_join = [&] {
-          bool found = false;
-          const std::function<void(const PlanNode&)> visit =
-              [&](const PlanNode& n) {
-                if (n.type == OpType::kJoin) found = true;
-                if (n.left) visit(*n.left);
-                if (n.right) visit(*n.right);
-              };
-          visit(*node.left);
-          return found;
-        }();
-        const bool right_has_join = [&] {
-          bool found = false;
-          const std::function<void(const PlanNode&)> visit =
-              [&](const PlanNode& n) {
-                if (n.type == OpType::kJoin) found = true;
-                if (n.left) visit(*n.left);
-                if (n.right) visit(*n.right);
-              };
-          visit(*node.right);
-          return found;
-        }();
-        if (right_has_join && !left_has_join) {
+      case OpType::kJoin:
+        if (ContainsJoin(*node.right) && !ContainsJoin(*node.left)) {
           std::swap(node.left, node.right);
         }
         node.annotation = SiteAnnotation::kInnerRel;
         break;
-      }
       case OpType::kScan:
         node.annotation = SiteAnnotation::kPrimaryCopy;
         break;
@@ -73,6 +54,12 @@ inline void CanonicalizeDeep(Plan& plan) {
         break;
       case OpType::kDisplay:
         break;
+      case OpType::kUnion:
+      case OpType::kProject:
+      case OpType::kAggregate:
+      case OpType::kSort:
+        DIMSUM_UNREACHABLE() << "no deep form for a " << ToString(node.type)
+                             << " operator";
     }
   });
 }

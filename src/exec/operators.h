@@ -45,7 +45,7 @@ struct ExecContext {
   double start_ms = 0.0;
   /// Invoked (if set) when the display operator finishes, at the query's
   /// completion time; used to resume closed-loop client processes.
-  std::function<void()> on_done;
+  std::function<void()> on_done = nullptr;
 
   /// Fault oracle of the session (null on healthy runs; operators then take
   /// exactly their pre-fault code paths). Crashed sites stall new disk and

@@ -1,7 +1,7 @@
 // Command-line driver: run one optimize+execute experiment with the
 // paper's benchmark workload and print the results.
 //
-//   dimsum_cli --policy=hy --metric=time --relations=10 --servers=5 \
+//   dimsum_cli --policy=hy --metric=time --relations=10 --servers=5
 //              --cached=0.5 --load=40 --alloc=min --print-plan
 //
 // Run with --help for the full flag list.
